@@ -5,7 +5,6 @@ import pytest
 from repro.bench.experiments import fig13_rows
 from repro.bench.reporting import print_table
 from repro.core.decomposition import kp_core_decomposition
-from repro.core.peel_engines import available_engines
 from repro.datasets import dataset_names
 from repro.graph.compact import CompactAdjacency
 from repro.kcore.decomposition import core_numbers_compact
@@ -22,14 +21,12 @@ def test_kcore_decomp(benchmark, graphs, name):
     assert len(core) == graph.num_vertices
 
 
-@pytest.mark.parametrize("engine", available_engines())
 @pytest.mark.parametrize("name", dataset_names())
-def test_kpcore_decomp(benchmark, graphs, name, engine):
+def test_kpcore_decomp(benchmark, graphs, name):
     graph = graphs[name]
     decomposition = benchmark.pedantic(
         kp_core_decomposition,
         args=(graph,),
-        kwargs={"engine": engine},
         rounds=1,
         iterations=1,
     )
@@ -37,13 +34,8 @@ def test_kpcore_decomp(benchmark, graphs, name, engine):
 
 
 def test_report_fig13(benchmark):
-    headers, rows = benchmark.pedantic(
-        fig13_rows,
-        kwargs={"engines": available_engines()},
-        rounds=1,
-        iterations=1,
-    )
+    headers, rows = benchmark.pedantic(fig13_rows, rounds=1, iterations=1)
     print_table(headers, rows, title="Fig. 13: decomposition time")
-    for name, engine, t_core, t_kp, *_ in rows:
+    for name, t_core, t_kp, *_ in rows:
         # kpCoreDecomp repeats the peel per k: slower, by roughly d(G)-ish
-        assert t_kp > t_core, (name, engine)
+        assert t_kp > t_core, name

@@ -2,7 +2,7 @@
 
 ``python -m repro bench diff OLD NEW [--tolerance R]`` compares two
 bench payloads entry by entry.  Entries are matched on their *identity
-keys* (``dataset``, ``engine``, ``workers``, ``spec``, ``seed``,
+keys* (``dataset``, ``workers``, ``spec``, ``seed``,
 ``threads``, ``cache``, ``cache_size``, ``min_answer_size``,
 ``steady_rounds`` — whichever subset an entry carries), and within each
 matched pair every known *directional metric* is compared:
@@ -50,7 +50,6 @@ DEFAULT_TOLERANCE = 0.25
 #: Entry fields that identify *what* was measured (not how fast).
 _IDENTITY_KEYS = (
     "dataset",
-    "engine",
     "workers",
     "spec",
     "workload_fingerprint",

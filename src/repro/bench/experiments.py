@@ -24,7 +24,6 @@ from repro.graph.views import sample_edges, sample_ratios, sample_vertices
 from repro.kcore.compute import k_core_vertices_compact
 from repro.kcore.decomposition import core_decomposition, core_numbers_compact
 from repro.core.decomposition import kp_core_decomposition
-from repro.core.peel_engines import DEFAULT_ENGINE
 from repro.core.index import KPIndex
 from repro.core.kpcore import kp_core_vertices_compact
 from repro.core.maintenance import KPIndexMaintainer, MaintenanceMode
@@ -308,7 +307,6 @@ def fig12_rows(
 def _decomposition_times(
     graph: Graph,
     with_metrics: bool = False,
-    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     repeat: int = 1,
 ) -> tuple[Timing, Timing]:
@@ -316,52 +314,44 @@ def _decomposition_times(
         lambda: core_numbers_compact(CompactAdjacency(graph)), repeat
     )
     t_kp = measure(
-        lambda: kp_core_decomposition(graph, engine=engine, workers=workers),
+        lambda: kp_core_decomposition(graph, workers=workers),
         repeat,
         capture_metrics=with_metrics,
     )
     return t_core, t_kp
 
 
-def fig13_rows(
-    with_metrics: bool | None = None,
-    engines: Sequence[str] = (DEFAULT_ENGINE,),
-) -> Rows:
+def fig13_rows(with_metrics: bool | None = None) -> Rows:
     """Fig. 13 timings; ``with_metrics`` appends per-run peel/re-key counts
     (defaults to on whenever an obs collector is active, e.g. REPRO_OBS=1).
-    ``engines`` grows the figure a peeling-backend dimension: one row per
-    dataset per engine.
     """
     if with_metrics is None:
         with_metrics = collection_active()
     headers: tuple[str, ...] = (
-        "dataset", "engine", "kcoreDecomp_s", "kpCoreDecomp_s", "slowdown",
+        "dataset", "kcoreDecomp_s", "kpCoreDecomp_s", "slowdown"
     )
     if with_metrics:
         headers += ("peels", "rekeys")
     rows: list[Sequence[object]] = []
     for name, graph in load_all().items():
-        for engine in engines:
-            t_core, t_kp = _decomposition_times(
-                graph, with_metrics=with_metrics, engine=engine
-            )
-            row: list[object] = [
-                name, engine, round(t_core.seconds, 4), round(t_kp.seconds, 4),
-                round(t_kp.seconds / t_core.seconds, 1)
-                if t_core.seconds > 0 else "inf",
-            ]
-            if with_metrics:
-                row.extend(
-                    (
-                        _per_run(
-                            t_kp.metrics, metric_names.DECOMP_PEELS, t_kp.repeats
-                        ),
-                        _per_run(
-                            t_kp.metrics, metric_names.DECOMP_REKEYS, t_kp.repeats
-                        ),
-                    )
+        t_core, t_kp = _decomposition_times(graph, with_metrics=with_metrics)
+        row: list[object] = [
+            name, round(t_core.seconds, 4), round(t_kp.seconds, 4),
+            round(t_kp.seconds / t_core.seconds, 1)
+            if t_core.seconds > 0 else "inf",
+        ]
+        if with_metrics:
+            row.extend(
+                (
+                    _per_run(
+                        t_kp.metrics, metric_names.DECOMP_PEELS, t_kp.repeats
+                    ),
+                    _per_run(
+                        t_kp.metrics, metric_names.DECOMP_REKEYS, t_kp.repeats
+                    ),
                 )
-            rows.append(tuple(row))
+            )
+        rows.append(tuple(row))
     return headers, rows
 
 

@@ -33,7 +33,6 @@ from repro.core.decomposition import (
     p_numbers_fixed_k,
 )
 from repro.core.hierarchy import PLevel, core_profile, nested_cores, p_levels
-from repro.core.peel_engines import DEFAULT_ENGINE, available_engines
 from repro.core.index import IndexSpaceStats, KArray, KPIndex, build_index
 from repro.core.kpcore import (
     combined_thresholds,
@@ -59,8 +58,6 @@ __all__ = [
     "satisfies_kp_constraints",
     "kp_core_decomposition",
     "p_numbers_fixed_k",
-    "DEFAULT_ENGINE",
-    "available_engines",
     "FixedKDecomposition",
     "KPDecomposition",
     "KPIndex",

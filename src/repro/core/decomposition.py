@@ -10,18 +10,13 @@ vertex's p-number.
 
 Implementation notes
 --------------------
-* The per-``k`` peel is delegated to a selectable engine
-  (:mod:`repro.core.peel_engines`): the default ``"flat"`` engine drains
-  bin-sorted integer-rank chains over a global composite-key ladder
-  (:mod:`repro.core.peel_flat`), ``"flat-numpy"`` vectorizes its setup
-  when numpy is importable, ``"bucket"`` keeps vertices in an array of
-  exact fraction-level buckets, and ``"heap"`` is the original lazy
-  min-heap backend kept for cross-checking.  All emit identical
-  canonical output; see ``docs/performance.md`` for the selection guide.
-* Serial full decompositions build one engine scratch
-  (:func:`repro.core.peel_engines.make_scratch`) and thread it through
-  every ``k``, so ladders/buckets are allocated once per decomposition
-  rather than once per ``k``.
+* The per-``k`` peel is :func:`repro.core.peel_flat.peel_fixed_k_flat`,
+  which drains bin-sorted integer-rank chains over a global
+  composite-key ladder and emits the canonical deletion order.
+* Serial full decompositions build one
+  :class:`~repro.core.peel_flat.FlatScratch` and thread it through every
+  ``k``, so the ladder is built once per decomposition rather than once
+  per ``k``.
 * The per-``k`` peels after core-number computation are independent, so
   ``workers=N`` fans them out over a :mod:`multiprocessing` pool
   (:mod:`repro.core.parallel`), shipping the frozen snapshot once per
@@ -41,7 +36,7 @@ from repro.errors import ParameterError
 from repro.graph.adjacency import Graph, Vertex
 from repro.graph.compact import CompactAdjacency
 from repro.kcore.decomposition import core_numbers_compact
-from repro.core.peel_engines import DEFAULT_ENGINE, get_engine, make_scratch
+from repro.core.peel_flat import FlatScratch, peel_fixed_k_flat
 from repro.obs import names
 from repro.obs.instrumentation import maybe_span
 
@@ -106,23 +101,18 @@ class KPDecomposition:
 
 
 @verify_decomposition
-def kp_core_decomposition(
-    graph: Graph, *, engine: str = DEFAULT_ENGINE, workers: int = 1
-) -> KPDecomposition:
+def kp_core_decomposition(graph: Graph, *, workers: int = 1) -> KPDecomposition:
     """Run Algorithm 2: p-numbers of every vertex for every valid ``k``.
 
-    ``engine`` selects the per-``k`` peeling backend
-    (:func:`repro.core.peel_engines.available_engines`); every engine
-    produces the identical canonical result.  ``workers > 1`` distributes
-    the independent per-``k`` peels over a process pool — output is
-    identical to the serial run for any worker count.
+    ``workers > 1`` distributes the independent per-``k`` peels over a
+    process pool — output is identical to the serial run for any worker
+    count.
 
     Under ``REPRO_VERIFY=1`` the output is re-checked: arrays sorted in
     deletion order, k-cores nested, p-numbers non-increasing in ``k``.
     Under ``REPRO_OBS`` the run records per-round peel/re-key counters
     and a ``kp_decomposition`` span with per-phase children.
     """
-    peel = get_engine(engine)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     with maybe_span(names.DECOMP_SPAN):
@@ -138,13 +128,11 @@ def kp_core_decomposition(
             if workers > 1 and degeneracy > 1:
                 from repro.core.parallel import peel_all_k
 
-                peeled = peel_all_k(
-                    snapshot, core, degeneracy, engine=engine, workers=workers
-                )
+                peeled = peel_all_k(snapshot, core, degeneracy, workers=workers)
             else:
-                scratch = make_scratch(engine, snapshot, core)
+                scratch = FlatScratch(snapshot, core)
                 peeled = {
-                    k: peel(snapshot, core, k, scratch=scratch)
+                    k: peel_fixed_k_flat(snapshot, core, k, scratch=scratch)
                     for k in range(1, degeneracy + 1)
                 }
             for k in range(1, degeneracy + 1):
@@ -161,16 +149,13 @@ def kp_core_decomposition(
         )
 
 
-def p_numbers_fixed_k(
-    graph: Graph, k: int, *, engine: str = DEFAULT_ENGINE
-) -> dict[Vertex, float]:
+def p_numbers_fixed_k(graph: Graph, k: int) -> dict[Vertex, float]:
     """p-numbers for one ``k`` only (the inner loop of Algorithm 2)."""
     if k < 1:
         raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    peel = get_engine(engine)
     snapshot = CompactAdjacency(graph)
     core, _ = core_numbers_compact(snapshot)
     snapshot.sort_neighbors_by_rank_desc(core)
-    order, p_numbers = peel(snapshot, core, k)
+    order, p_numbers = peel_fixed_k_flat(snapshot, core, k)
     labels = snapshot.labels
     return {labels[v]: pn for v, pn in zip(order, p_numbers)}

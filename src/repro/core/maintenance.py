@@ -30,7 +30,7 @@ windows above are unioned per affected ``A_k``, and each array re-peels
 exactly **once** per batch — membership-stable arrays through the unioned
 ``[p_-, p_+]`` window, membership-churned arrays through one shared
 :class:`~repro.graph.compact.CompactAdjacency` snapshot and the Algorithm 2
-peel engines (optionally fanned across the ``repro.core.parallel`` worker
+peel (optionally fanned across the ``repro.core.parallel`` worker
 pool).  Version counters consequently bump once per touched array per
 batch, which is what lets the serving cache invalidate once instead of
 once per edge (see docs/algorithms.md, "Batched maintenance").
@@ -73,7 +73,7 @@ from repro.core.bounds import (
 )
 from repro.core.index import KArray, KPIndex
 from repro.core.parallel import peel_all_k
-from repro.core.peel_engines import DEFAULT_ENGINE, get_engine, make_scratch
+from repro.core.peel_flat import FlatScratch, peel_fixed_k_flat
 from repro.core.pvalue import fraction_value
 
 __all__ = [
@@ -362,7 +362,6 @@ class KPIndexMaintainer:
         self,
         updates: Iterable[tuple[str, Vertex, Vertex]],
         *,
-        engine: str = DEFAULT_ENGINE,
         workers: int = 1,
     ) -> BatchReport:
         """Apply a mixed batch of ``(op, u, v)`` updates, coalesced.
@@ -379,9 +378,9 @@ class KPIndexMaintainer:
           when the unioned support bound meets the unioned cap — the
           batched form of Theorem 6);
         * arrays whose k-core membership churned re-peel in full through
-          one shared :class:`CompactAdjacency` snapshot and the selected
-          Algorithm 2 peel ``engine`` (scratch reused across ks;
-          ``workers > 1`` fans these across the process pool).
+          one shared :class:`CompactAdjacency` snapshot and the Algorithm 2
+          peel (scratch reused across ks; ``workers > 1`` fans these
+          across the process pool).
 
         Each touched array bumps its version once per batch, so serving
         caches invalidate once instead of once per edge.  A coalesced
@@ -391,7 +390,6 @@ class KPIndexMaintainer:
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        get_engine(engine)  # validate the name before any mutation
         ops, cancelled = coalesce_updates(self.graph, updates)
         self.stats.batches += 1
         self.stats.batch_cancelled_pairs += cancelled
@@ -418,7 +416,7 @@ class KPIndexMaintainer:
                 1, cancelled, self.stats.arrays_updated - before_updated
             )
         with maybe_span(metric.MAINT_SPAN_BATCH):
-            windowed, full = self._apply_batch_impl(ops, engine, workers)
+            windowed, full = self._apply_batch_impl(ops, workers)
         verify_batch_state(
             self, tuple({w for _, u, v in ops for w in (u, v)})
         )
@@ -433,7 +431,6 @@ class KPIndexMaintainer:
     def _apply_batch_impl(
         self,
         ops: Sequence[tuple[str, Vertex, Vertex]],
-        engine: str,
         workers: int,
     ) -> tuple[int, int]:
         """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
@@ -516,7 +513,7 @@ class KPIndexMaintainer:
         for array, p_minus, p_plus in windowed_plans:
             self._repeel_and_splice(array, None, p_minus, p_plus, set())
         if full_ks:
-            self._repeel_full_arrays(full_ks, engine, workers)
+            self._repeel_full_arrays(full_ks, workers)
         if obs is not None:
             obs.add(metric.MAINT_BATCH_FULL_REPEELS, len(full_ks))
             obs.add(
@@ -577,16 +574,14 @@ class KPIndexMaintainer:
             return None
         return p_minus, p_plus
 
-    def _repeel_full_arrays(
-        self, ks: Sequence[int], engine: str, workers: int
-    ) -> None:
-        """Re-peel each ``A_k`` in ``ks`` from scratch with a peel engine.
+    def _repeel_full_arrays(self, ks: Sequence[int], workers: int) -> None:
+        """Re-peel each ``A_k`` in ``ks`` from scratch with Algorithm 2's peel.
 
         One :class:`CompactAdjacency` snapshot of the live graph is built
         per batch and shared by every array (and, with ``workers > 1``,
         shipped once per worker through the pool initializer), so the
-        per-array marginal cost is the engine peel itself — the same
-        kernels Algorithm 2 runs, scratch reused across the ks.
+        per-array marginal cost is the fixed-k peel itself — the same
+        kernel Algorithm 2 runs, scratch reused across the ks.
         """
         obs = get_collector()
         snapshot = CompactAdjacency(self.graph)
@@ -595,18 +590,13 @@ class KPIndexMaintainer:
         snapshot.sort_neighbors_by_rank_desc(core)
         if workers > 1 and len(ks) > 1:
             peeled = peel_all_k(
-                snapshot,
-                core,
-                max(ks),
-                engine=engine,
-                workers=workers,
-                ks=ks,
+                snapshot, core, max(ks), workers=workers, ks=ks
             )
         else:
-            engine_fn = get_engine(engine)
-            scratch = make_scratch(engine, snapshot, core)
+            scratch = FlatScratch(snapshot, core)
             peeled = {
-                k: engine_fn(snapshot, core, k, scratch=scratch) for k in ks
+                k: peel_fixed_k_flat(snapshot, core, k, scratch=scratch)
+                for k in ks
             }
         labels = snapshot.labels
         arrays = self.index.arrays()

@@ -18,11 +18,10 @@ and writes only its own ``(order, p_numbers)`` pair.  This module fans the
   arrays travels in batches, so neither stragglers (static
   pre-assignment) nor per-task dispatch overhead (``chunksize=1`` over
   hundreds of sub-millisecond peels) dominate the makespan;
-* each worker builds its engine scratch
-  (:func:`repro.core.peel_engines.make_scratch`) lazily on its first
-  chunk and reuses it for every subsequent one — chunks reach a worker
-  in ascending-``k`` order, so the scratch's incremental prefix-length
-  sweep applies just as it does serially;
+* each worker builds its :class:`~repro.core.peel_flat.FlatScratch`
+  lazily on its first chunk and reuses it for every subsequent one —
+  chunks reach a worker in ascending-``k`` order, so the scratch's
+  incremental prefix-length sweep applies just as it does serially;
 * results are merged keyed by ``k``, so the output is deterministic and
   identical to the serial run regardless of worker count or completion
   order.
@@ -50,6 +49,7 @@ from typing import Any, Sequence
 
 from repro.errors import ParameterError
 from repro.graph.compact import CompactAdjacency
+from repro.core.peel_flat import FlatScratch, peel_fixed_k_flat
 from repro.obs import names
 from repro.obs.instrumentation import Instrumentation, get_collector, set_collector
 from repro.obs.snapshot import MetricsSnapshot
@@ -66,12 +66,10 @@ _CHUNKS_PER_WORKER = 4
 #: multiprocessing start method, including ``spawn``.
 _snapshot: CompactAdjacency | None = None
 _core: list[int] | None = None
-_engine_name: str = ""
 _obs_on: bool = False
-#: Engine scratch, built lazily on the worker's first chunk and shared by
+#: Peel scratch, built lazily on the worker's first chunk and shared by
 #: all of its chunks (the whole point of a per-worker cache).
-_scratch: Any | None = None
-_scratch_ready = False
+_scratch: FlatScratch | None = None
 #: One tracer per worker *process*, drained after every chunk — its
 #: span-id counter keeps advancing across chunks, so ids stay unique per
 #: pid even though each chunk ships its events separately.
@@ -130,31 +128,24 @@ def _chunk_ks(
 def _init_worker(
     snapshot: CompactAdjacency,
     core: list[int],
-    engine: str,
     obs_on: bool,
     trace_ctx: tuple[str, str | None] | None,
 ) -> None:
     """Pool initializer: pin the shared read-only inputs in this process."""
-    global _snapshot, _core, _engine_name, _obs_on, _scratch, _scratch_ready
-    global _worker_tracer
+    global _snapshot, _core, _obs_on, _scratch, _worker_tracer
     _snapshot = snapshot
     _core = core
-    _engine_name = engine
     _obs_on = obs_on
     _scratch = None
-    _scratch_ready = False
     _worker_tracer = Tracer(context=trace_ctx) if trace_ctx is not None else None
 
 
-def _worker_scratch() -> Any:
-    """This worker's engine scratch, built on first use."""
-    global _scratch, _scratch_ready
-    if not _scratch_ready:
-        from repro.core.peel_engines import make_scratch
-
+def _worker_scratch() -> FlatScratch:
+    """This worker's peel scratch, built on first use."""
+    global _scratch
+    if _scratch is None:
         assert _snapshot is not None and _core is not None
-        _scratch = make_scratch(_engine_name, _snapshot, _core)
-        _scratch_ready = True
+        _scratch = FlatScratch(_snapshot, _core)
     return _scratch
 
 
@@ -173,10 +164,7 @@ def _peel_chunk(
     chunk; the payloads are ``None`` unless the parent asked for them
     through the initializer flags.
     """
-    from repro.core.peel_engines import get_engine
-
     assert _snapshot is not None and _core is not None
-    engine = get_engine(_engine_name)
     scratch = _worker_scratch()
     task_obs = Instrumentation() if _obs_on else None
     task_tracer = _worker_tracer
@@ -186,7 +174,8 @@ def _peel_chunk(
     )
     try:
         peeled = [
-            (k, *engine(_snapshot, _core, k, scratch=scratch)) for k in chunk
+            (k, *peel_fixed_k_flat(_snapshot, _core, k, scratch=scratch))
+            for k in chunk
         ]
     finally:
         if task_obs is not None:
@@ -209,7 +198,6 @@ def peel_all_k(
     core: Sequence[int],
     degeneracy: int,
     *,
-    engine: str,
     workers: int,
     ks: Sequence[int] | None = None,
 ) -> dict[int, tuple[list[int], list[float]]]:
@@ -219,10 +207,11 @@ def peel_all_k(
     phase); pass ``ks`` to repair an arbitrary subset — the batched
     maintenance path (:meth:`KPIndexMaintainer.apply_batch`) fans its
     membership-churned arrays through here.  Returns
-    ``{k: (order, p_numbers)}`` — byte-identical to running the selected
-    engine serially for each ``k``.  ``workers`` is clamped to the number
-    of tasks; callers guarantee ``workers >= 1`` and that the snapshot's
-    neighbour lists are already rank-sorted.
+    ``{k: (order, p_numbers)}`` — byte-identical to running
+    :func:`~repro.core.peel_flat.peel_fixed_k_flat` serially for each
+    ``k``.  ``workers`` is clamped to the number of tasks; callers
+    guarantee ``workers >= 1`` and that the snapshot's neighbour lists
+    are already rank-sorted.
     """
     obs = get_collector()
     tracer = get_tracer()
@@ -244,7 +233,7 @@ def peel_all_k(
     with Pool(
         processes=pool_size,
         initializer=_init_worker,
-        initargs=(snapshot, list(core), engine, obs is not None, trace_ctx),
+        initargs=(snapshot, list(core), obs is not None, trace_ctx),
     ) as pool:
         for peeled, pid, metrics_payload, events_payload in (
             pool.imap_unordered(_peel_chunk, chunks, chunksize=1)
@@ -254,7 +243,7 @@ def peel_all_k(
             tasks_per_pid[pid] = tasks_per_pid.get(pid, 0) + len(peeled)
             if obs is not None and metrics_payload is not None:
                 # Fold the worker's per-chunk counters in verbatim: the
-                # engines record the same metrics they do serially, so
+                # peel records the same metrics it does serially, so
                 # parallel profiles match serial ones exactly.
                 obs.merge(MetricsSnapshot.from_dict(metrics_payload))
             if tracer is not None and events_payload is not None:

@@ -1,12 +1,12 @@
-"""Flat integer-array peeling engine for Algorithm 2's fixed-k loop.
+"""Algorithm 2's fixed-k peel on flat integer arrays.
 
-The bucket engine (:func:`repro.core.peel_engines.peel_fixed_k_bucket`)
-is already O(m_k) per ``k``, but it pays Python-object tax everywhere: a
-float division per re-key, a ``dict`` level index probed per move, and —
-dominating the profile — a per-``k`` ``level_set`` construction that
-re-enumerates every candidate fraction ``a / deg_G(v)`` with
-``k <= a <= deg_k(v)`` for every ``k`` (O(sum_k m_k) float ops across a
-full decomposition).  This module removes all of it:
+For one ``k`` the peel computes the ``(order, p_numbers)`` pair of the
+k-core: rounds find the minimum fraction ``deg_{G_k}(v) / deg_G(v)``,
+delete every vertex dragged to ``<=`` that level (or below degree ``k``)
+and record the round level as their p-number.  At fixed ``k`` the only
+keys a vertex can ever take are the fractions ``a / deg_G(v)`` with
+``k <= a <= deg_k(v)`` (below ``a = k`` the degree constraint deletes
+it), so the level set is finite and the peel needs no heap:
 
 * **Composite integer keys.**  Each fraction ``a / b`` (``b = deg_G(v)``)
   is encoded as the integer ``a * SCALE // b`` with
@@ -18,22 +18,25 @@ full decomposition).  This module removes all of it:
   :mod:`repro.core.pvalue` makes for correctly-rounded doubles, with the
   double spacing replaced by the scaled integer gap.  (See
   :func:`composite_key` / :func:`key_scale`; the soundness test sweeps
-  every ``a/b`` pair against :class:`fractions.Fraction` ordering.)
+  every ``a/b`` pair against :class:`fractions.Fraction` ordering.)  The
+  emitted p-numbers are the correctly rounded doubles of the same
+  rationals; by the same gap bound, float order equals rational order
+  for every graph this library can hold.
 * **One global ladder, built once.**  The union over all ``k`` of the
   candidate fractions of vertex ``v`` is just ``{a / deg_G(v) : 1 <= a <=
   deg_G(v)}`` — ``2m`` candidates in total, independent of ``k``.  The
   :class:`FlatScratch` built once per decomposition stores, for every
   ladder slot, the *rank* of its key among the sorted distinct keys
-  (``vli``), plus one exact float per distinct key (``lvl_val``, the same
-  correctly-rounded double the other engines emit).  A re-key during any
-  fixed-``k`` peel is then two list reads: ``rank = vli[lp[u] + d]``.
+  (``vli``), plus one exact float per distinct key (``lvl_val``).  A
+  re-key during any fixed-``k`` peel is then two list reads:
+  ``rank = vli[lp[u] + d]``.
 * **Bin-sorted drain, no dict, no floats.**  Vertices are parked in
   per-rank chains threaded through one preallocated two-array arena
   (``arena_vertex`` / ``arena_next``), the flat-array generalization of
   Batagelj–Zaveršnik's ``vert``/``pos``/``bin_start`` layout: BZ's O(1)
   swap trick assumes keys step down one bin at a time (true for core
   numbers), while a fixed-``k`` re-key can drop a vertex several bins at
-  once, so the engine re-parks moved vertices and filters stale chain
+  once, so the kernel re-parks moved vertices and filters stale chain
   entries by comparing the parked rank against the vertex's current one
   (``rank_of``).  Re-parks are **batched per round**: a cascade often
   decrements the same vertex once per dying neighbour, but only its rank
@@ -46,28 +49,24 @@ full decomposition).  This module removes all of it:
   is parked at most once per rank and a stale entry can never be
   mistaken for a live one.
 
+The output is the **canonical deletion order**: rounds (maximal runs of
+one p-number, which strictly increases between rounds) appear in peel
+order, and vertices within a round are sorted by internal id.  The
+within-round order of the paper's Algorithm 2 is unspecified — every
+vertex of a round shares one p-number — so fixing it makes the output
+byte-comparable and machine-independent.
+
 The hot arrays are plain Python ``list``s rather than ``array('l')``:
 ``array`` subscripting boxes a fresh ``int`` per read in CPython, while
 lists hand back the cached small-int objects — measurably faster in the
 interpreter loop that dominates here.  The memory layout is still flat
 and integer-only; nothing in the drain hashes or allocates per edge.
-
-``engine="flat-numpy"`` (:func:`peel_fixed_k_flat_numpy`) vectorizes the
-scratch build — the initial degree/key computation for every ladder
-slot, binned into ranks by one ``numpy.unique`` — and the per-``k``
-member scan; the cascade drain is shared with the pure engine.  (The
-per-``k`` prefix degrees deliberately stay on the shared incremental
-sweep, and initial ranks on the park loop's inline ladder reads: both
-vectorized alternatives measured slower, see ``_setup_numpy``.)  numpy
-stays an optional dependency: the import is guarded and the engine
-silently degrades to the pure-Python scratch when it is absent,
-producing identical output.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.graph.compact import CompactAdjacency
@@ -75,28 +74,12 @@ from repro.obs import names
 from repro.obs.instrumentation import get_collector
 from repro.obs.trace import get_tracer
 
-try:  # optional acceleration; the pure-Python path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None  # type: ignore[assignment]
-
 __all__ = [
     "FlatScratch",
     "composite_key",
-    "have_numpy",
     "key_scale",
     "peel_fixed_k_flat",
-    "peel_fixed_k_flat_numpy",
 ]
-
-#: Largest ``d_max`` for which ``a * SCALE`` fits an int64 (``d_max**3``
-#: headroom); beyond it the numpy key build falls back to Python ints.
-_NUMPY_KEY_DMAX_LIMIT = 2_000_000
-
-
-def have_numpy() -> bool:
-    """Whether the optional numpy backend is importable in this process."""
-    return _np is not None
 
 
 def key_scale(d_max: int) -> int:
@@ -164,16 +147,9 @@ class FlatScratch:
         "epoch",
         "touch_stamp",
         "stamp",
-        "core_np",
     )
 
-    def __init__(
-        self,
-        snapshot: CompactAdjacency,
-        core: Sequence[int],
-        *,
-        use_numpy: bool = False,
-    ) -> None:
+    def __init__(self, snapshot: CompactAdjacency, core: Sequence[int]) -> None:
         self.snapshot = snapshot
         self.core = core
         n = snapshot.num_vertices
@@ -191,11 +167,7 @@ class FlatScratch:
             base[v + 1] = base[v] + gdeg[v]
         self.base = base
         self.lp = [base[v] - 1 for v in range(n)]
-        if use_numpy and _np is not None and dmax <= _NUMPY_KEY_DMAX_LIMIT:
-            self._build_ladder_numpy()
-        else:
-            self._build_ladder_pure()
-            self.core_np = None
+        self._build_ladder()
         degeneracy = max(core, default=0)
         counts = [0] * (degeneracy + 2)
         for c in core:
@@ -237,7 +209,7 @@ class FlatScratch:
 
     # -- ladder construction ------------------------------------------
 
-    def _build_ladder_pure(self) -> None:
+    def _build_ladder(self) -> None:
         """Keys, ranks and exact float values for every ladder slot."""
         scale = self.scale
         keys: list[int] = []
@@ -249,7 +221,7 @@ class FlatScratch:
                 kext([a * scale // gd for a in range(1, gd + 1)])
                 # Canonical float-fraction construction (pvalue.fraction_value
                 # inlined for the O(m) setup sweep): one correctly-rounded
-                # double per candidate, the exact value the engines emit.
+                # double per candidate, the exact value the peel emits.
                 vext([a / gd for a in range(1, gd + 1)])  # noqa: KP001
         representative = dict(zip(keys, vals))
         distinct = sorted(representative)
@@ -257,35 +229,6 @@ class FlatScratch:
         rank = {key: i for i, key in enumerate(distinct)}
         self.vli = list(map(rank.__getitem__, keys))
         self.lvl_val = list(map(representative.__getitem__, distinct))
-
-    def _build_ladder_numpy(self) -> None:
-        """Vectorized ladder build plus cached per-edge numpy views."""
-        assert _np is not None
-        np = _np
-        core_np = np.asarray(self.core, dtype=np.int64)
-        iptr_np = np.asarray(self.iptr, dtype=np.int64)
-        gdeg_np = np.diff(iptr_np)
-        base_np = iptr_np[:-1].copy()
-        total = int(iptr_np[-1])
-        # Ladder numerators: slot i of vertex v holds a = i - base[v] + 1.
-        numerators = np.arange(total, dtype=np.int64) - np.repeat(
-            base_np, gdeg_np
-        ) + 1
-        denominators = np.repeat(gdeg_np, gdeg_np)
-        keys = numerators * np.int64(self.scale) // denominators
-        distinct, first_slot, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        self.num_levels = int(distinct.size)
-        # One exact double per distinct key — float64 division is the same
-        # correctly-rounded result CPython's ``a / b`` produces.
-        level_values = (
-            numerators[first_slot].astype(np.float64)
-            / denominators[first_slot].astype(np.float64)
-        )
-        self.vli = inverse.tolist()
-        self.lvl_val = level_values.tolist()
-        self.core_np = core_np
 
     # -- prefix-length maintenance ------------------------------------
 
@@ -323,34 +266,14 @@ class FlatScratch:
         return self.corder[: self.sizes[k]]
 
 
-def _check_scratch(
-    scratch: FlatScratch | None,
-    snapshot: CompactAdjacency,
-    core: Sequence[int],
-    use_numpy: bool,
-) -> FlatScratch:
-    if scratch is None:
-        return FlatScratch(snapshot, core, use_numpy=use_numpy)
-    if not isinstance(scratch, FlatScratch):
-        raise ParameterError(
-            f"flat engines expect a FlatScratch, got {type(scratch).__name__}"
-        )
-    if scratch.snapshot is not snapshot:
-        raise ParameterError(
-            "scratch was built for a different snapshot; build one "
-            "FlatScratch per (snapshot, core) pair"
-        )
-    return scratch
-
-
 def peel_fixed_k_flat(
     snapshot: CompactAdjacency,
     core: Sequence[int],
     k: int,
     *,
-    scratch: Any | None = None,
+    scratch: FlatScratch | None = None,
 ) -> tuple[list[int], list[float]]:
-    """Flat integer-array engine; see the module docstring.
+    """Peel the k-core; see the module docstring.
 
     ``core`` must be the core numbers of the snapshot and the snapshot's
     neighbour lists must already be sorted by descending core number.
@@ -359,80 +282,34 @@ def peel_fixed_k_flat(
     """
     if k < 1:
         raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    state = _check_scratch(scratch, snapshot, core, use_numpy=False)
-    return _peel(state, k, "flat")
+    if scratch is None:
+        scratch = FlatScratch(snapshot, core)
+    elif not isinstance(scratch, FlatScratch):
+        raise ParameterError(
+            f"the peel expects a FlatScratch, got {type(scratch).__name__}"
+        )
+    elif scratch.snapshot is not snapshot:
+        raise ParameterError(
+            "scratch was built for a different snapshot; build one "
+            "FlatScratch per (snapshot, core) pair"
+        )
+    return _peel(scratch, k)
 
 
-def peel_fixed_k_flat_numpy(
-    snapshot: CompactAdjacency,
-    core: Sequence[int],
-    k: int,
-    *,
-    scratch: Any | None = None,
-) -> tuple[list[int], list[float]]:
-    """numpy-accelerated flat engine (identical output, optional numpy).
-
-    Vectorizes the scratch build, member scan and initial binning when
-    numpy is importable; otherwise runs the pure-Python scratch path —
-    the drain and the emitted ``(order, p_numbers)`` are byte-identical
-    either way.
-    """
-    if k < 1:
-        raise ParameterError(f"degree threshold k must be >= 1, got {k}")
-    state = _check_scratch(scratch, snapshot, core, use_numpy=True)
-    return _peel(state, k, "flat-numpy")
-
-
-def _setup_pure(
-    state: FlatScratch, k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """(members, plen, deg_s) via the incremental scratch.
-
-    Initial ranks are left to the park loop (one ladder read per member
-    beats materializing an intermediate list).
-    """
-    members = state.members(k)
-    if not members:
-        return members, [], []
-    plen = state.prefix_lengths(k)
-    return members, plen, plen[:]
-
-
-def _setup_numpy(
-    state: FlatScratch, k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Vectorized member scan; prefix degrees stay incremental.
-
-    Recomputing prefix degrees per ``k`` with a vectorized ``bincount``
-    costs O(2m) *per k* and loses to the O(changed edges) incremental
-    sweep on every dataset tried, so that path is shared with the pure
-    engine; likewise a vectorized initial-rank gather (one ndarray
-    round-trip per ``k``) measures slower than the park loop's inline
-    ladder reads, so initial ranks are left to it.
-    """
-    assert _np is not None and state.core_np is not None
-    member_ids = _np.flatnonzero(state.core_np >= k)
-    if member_ids.size == 0:
-        return [], [], []
-    plen = state.prefix_lengths(k)
-    return member_ids.tolist(), plen, plen[:]
-
-
-def _peel(
-    state: FlatScratch, k: int, engine_label: str
-) -> tuple[list[int], list[float]]:
-    """Shared drain: rounds walk the rank cursor, cascades re-park."""
+def _peel(state: FlatScratch, k: int) -> tuple[list[int], list[float]]:
+    """The drain: rounds walk the rank cursor, cascades re-park."""
     # Collector/tracer fetched once per call, never inside the peel loop
     # (KP007 discipline); all recording happens after the drain.
     obs = get_collector()
     tracer = get_tracer()
     trace_start = time.perf_counter() if tracer is not None else 0.0
-    if state.core_np is not None:
-        members, plen, deg_s = _setup_numpy(state, k)
-    else:
-        members, plen, deg_s = _setup_pure(state, k)
+    members = state.members(k)
     if not members:
         return [], []
+    # Initial ranks are left to the park loop below (one ladder read per
+    # member beats materializing an intermediate list).
+    plen = state.prefix_lengths(k)
+    deg_s = plen[:]
     # Local bindings for the interpreter loop (every name below is read
     # O(m_k) times).
     iptr, ind = state.iptr, state.ind
@@ -566,7 +443,6 @@ def _peel(
             trace_start,
             time.perf_counter(),
             k=k,
-            engine=engine_label,
             vertices=members_n,
         )
     return order, p_numbers

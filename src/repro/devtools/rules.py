@@ -48,7 +48,6 @@ _HOT_LOOP_SUFFIXES = (
     "kcore/compute.py",
     "core/kpcore.py",
     "core/decomposition.py",
-    "core/peel_engines.py",
     "core/peel_flat.py",
 )
 
@@ -467,7 +466,7 @@ class UnguardedMetricRule(LintRule):
 
     The supported pattern is loop-local plain-int accumulators flushed
     to the collector once, after the loop (see
-    ``core/peel_engines.py::peel_fixed_k_bucket``); per-request trace
+    ``core/peel_flat.py::_peel``); per-request trace
     events follow the same discipline (one guarded ``record`` per call,
     after the loop — see the ``trace.peel.fixed_k`` hooks there).
     """

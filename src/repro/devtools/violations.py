@@ -41,7 +41,7 @@ RULE_CODES: dict[str, str] = {
     "KP006": (
         "set/dict/list construction inside a peeling hot loop "
         "(kcore/compute.py, core/kpcore.py, core/decomposition.py, "
-        "core/peel_engines.py)"
+        "core/peel_flat.py)"
     ),
     "KP007": (
         "per-iteration metric recording inside a peeling hot loop: "

@@ -61,7 +61,6 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import ParameterError
 from repro.graph.adjacency import Vertex
 from repro.core.index import KPIndex
-from repro.core.peel_engines import DEFAULT_ENGINE
 from repro.core.pvalue import check_p
 from repro.obs import names as metric
 from repro.obs.instrumentation import get_collector
@@ -656,7 +655,6 @@ class KPCoreServer:
         self,
         updates: Iterable[UpdateOp],
         *,
-        engine: str = DEFAULT_ENGINE,
         workers: int = 1,
     ) -> ApplyReport:
         """Apply a coalesced batch under one write-lock hold.
@@ -678,7 +676,7 @@ class KPCoreServer:
                     # journal record + fsync must stay inside the
                     # exclusive section.  noqa KP012: blocking by design.
                     return self._durable.apply_batch(  # noqa: KP012 WAL ordering
-                        updates, engine=engine, workers=workers
+                        updates, workers=workers
                     )
                 finally:
                     self._purge_changed(before)

@@ -24,7 +24,7 @@ def _payload(entries, audits=None, **top):
 
 
 def _entry(**overrides):
-    entry = {"engine": "bucket", "workers": 1, "min_s": 1.0, "median_s": 1.1}
+    entry = {"dataset": "orkut", "workers": 1, "min_s": 1.0, "median_s": 1.1}
     entry.update(overrides)
     return entry
 
@@ -49,7 +49,7 @@ class TestMatching:
         diff = diff_payloads(old, new)
         assert diff.regressed
         statuses = {e.identity: e.status for e in diff.entries}
-        assert statuses["engine=bucket workers=4"] == "missing_in_new"
+        assert statuses["dataset=orkut workers=4"] == "missing_in_new"
 
     def test_new_entry_is_reported_but_not_a_regression(self):
         old = _payload([_entry(workers=1)])

@@ -1,15 +1,22 @@
-"""Equivalence and unit tests for the fixed-k peeling engines.
+"""Tests for Algorithm 2's fixed-k peel (:mod:`repro.core.peel_flat`).
 
-The contract under test: every engine in :data:`repro.core.peel_engines.
-ENGINES` produces byte-identical ``(order, p_numbers)`` for every graph
-and every ``k`` — including ties at the minimum fraction and
-degree-violation cascades, where naive heap/bucket implementations
-diverge first.
+The contract under test, for every graph and every ``k``: the peel's
+p-numbers equal the definition-literal oracle
+:func:`repro.core.naive.naive_p_numbers_fixed_k` vertex by vertex, the
+deletion order is canonical (ids sorted within each equal-p run, p
+strictly increasing between runs), and a shared :class:`FlatScratch`
+changes nothing.  The graph families include ties at the minimum
+fraction and degree-violation cascades, where a peel is easiest to get
+wrong.  A golden digest pins the full decomposition of two builtin
+stand-ins byte for byte — the oracle checks sets and values, not order.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,109 +24,89 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.compact import CompactAdjacency
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.generators import erdos_renyi_gnm
+from repro.datasets import load
 from repro.kcore.decomposition import core_numbers_compact
 from repro.core.decomposition import kp_core_decomposition
-from repro.core import peel_flat
-from repro.core.peel_engines import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    BucketScratch,
-    available_engines,
-    get_engine,
-    make_scratch,
-    peel_fixed_k_bucket,
-    peel_fixed_k_heap,
-)
+from repro.core.naive import naive_p_numbers_fixed_k
+from repro.core.peel_engines import DEFAULT_ENGINE, make_scratch
 from repro.core.peel_flat import (
     FlatScratch,
     composite_key,
     key_scale,
     peel_fixed_k_flat,
-    peel_fixed_k_flat_numpy,
 )
-
-ALL_ENGINES = ["bucket", "flat", "flat-numpy", "heap"]
 
 
 def _prepared(graph: Graph):
-    """(snapshot, core numbers) ready for any engine."""
+    """(snapshot, core numbers) ready for the peel."""
     snapshot = CompactAdjacency(graph)
     core, _ = core_numbers_compact(snapshot)
     snapshot.sort_neighbors_by_rank_desc(core)
     return snapshot, core
 
 
-def _assert_engines_identical(graph: Graph) -> None:
-    """All engines (scratch-free and scratch-shared) agree pairwise."""
+def _assert_canonical(order: list[int], p_numbers: list[float]) -> None:
+    """Ids sorted within each equal-p run; p strictly increases between runs."""
+    assert len(order) == len(p_numbers) == len(set(order))
+    levels = []
+    for level, run in groupby(zip(p_numbers, order), key=lambda pair: pair[0]):
+        ids = [v for _, v in run]
+        assert ids == sorted(ids), (level, ids)
+        levels.append(level)
+    assert all(a < b for a, b in zip(levels, levels[1:])), levels
+
+
+def _assert_matches_oracle(graph: Graph) -> None:
+    """For every k (one past the degeneracy too): oracle, canonical, scratch."""
     snapshot, core = _prepared(graph)
-    degeneracy = max(core, default=0)
-    scratches = {name: make_scratch(name, snapshot, core) for name in ENGINES}
-    for k in range(1, degeneracy + 1):
-        results = {
-            name: engine(snapshot, core, k) for name, engine in ENGINES.items()
-        }
-        reference = results.pop("heap")
-        for name, result in results.items():
-            assert result == reference, (name, k)
-        for name, engine in ENGINES.items():
-            shared = engine(snapshot, core, k, scratch=scratches[name])
-            assert shared == reference, (name, k, "scratch")
-
-
-class TestRegistry:
-    def test_known_engines(self):
-        assert available_engines() == ALL_ENGINES
-        assert DEFAULT_ENGINE == "flat"
-        assert DEFAULT_ENGINE in ENGINES
-
-    def test_get_engine_resolves(self):
-        assert get_engine("bucket") is peel_fixed_k_bucket
-        assert get_engine("heap") is peel_fixed_k_heap
-        assert get_engine("flat") is peel_fixed_k_flat
-        assert get_engine("flat-numpy") is peel_fixed_k_flat_numpy
-
-    def test_get_engine_rejects_unknown(self):
-        with pytest.raises(ParameterError, match="unknown peel engine"):
-            get_engine("quantum")
+    labels = snapshot.labels
+    scratch = FlatScratch(snapshot, core)
+    for k in range(1, max(core, default=0) + 2):
+        order, p_numbers = peel_fixed_k_flat(snapshot, core, k)
+        by_label = {labels[v]: pn for v, pn in zip(order, p_numbers)}
+        assert len(by_label) == len(order), k
+        assert by_label == naive_p_numbers_fixed_k(graph, k), k
+        _assert_canonical(order, p_numbers)
+        shared = peel_fixed_k_flat(snapshot, core, k, scratch=scratch)
+        assert shared == (order, p_numbers), (k, "scratch")
 
 
 class TestEngineBasics:
-    @pytest.mark.parametrize("name", ALL_ENGINES)
-    def test_empty_k_core(self, triangle, name):
+    def test_empty_k_core(self, triangle):
         snapshot, core = _prepared(triangle)
-        assert get_engine(name)(snapshot, core, 3) == ([], [])
+        assert peel_fixed_k_flat(snapshot, core, 3) == ([], [])
 
-    @pytest.mark.parametrize("name", ALL_ENGINES)
-    def test_triangle_all_peel_at_one(self, triangle, name):
+    def test_triangle_all_peel_at_one(self, triangle):
         snapshot, core = _prepared(triangle)
-        order, p_numbers = get_engine(name)(snapshot, core, 2)
-        assert sorted(order) == [0, 1, 2]
+        order, p_numbers = peel_fixed_k_flat(snapshot, core, 2)
+        assert order == [0, 1, 2]
         assert p_numbers == [1.0, 1.0, 1.0]  # noqa: KP002 exact-double oracle
 
-    @pytest.mark.parametrize("name", ALL_ENGINES)
-    def test_k_below_one_rejected(self, triangle, name):
+    def test_k_below_one_rejected(self, triangle):
         snapshot, core = _prepared(triangle)
         with pytest.raises(ParameterError, match="k must be >= 1"):
-            get_engine(name)(snapshot, core, 0)
+            peel_fixed_k_flat(snapshot, core, 0)
 
-    @pytest.mark.parametrize("name", ALL_ENGINES)
-    def test_canonical_order_within_rounds(self, name):
+    def test_canonical_order_within_rounds(self):
         # K4 peels in a single round at level 1.0: canonical order is by
-        # internal id regardless of engine-internal tie-breaking.
+        # internal id.
         g = Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         snapshot, core = _prepared(g)
-        order, p_numbers = get_engine(name)(snapshot, core, 3)
+        order, p_numbers = peel_fixed_k_flat(snapshot, core, 3)
         assert order == sorted(order)
         assert len(set(p_numbers)) == 1
 
 
 class TestEngineEquivalence:
+    """The peel against the naive oracle, family by family."""
+
     def test_tie_at_minimum_fraction(self):
         # Two components whose minimum fractions tie exactly at 1/2:
         # a K4 whose vertex 0 carries three pendants (3/6 = 0.5) and a K5
         # whose vertex 10 carries four pendants (4/8 = 0.5).  Both seeds
-        # must start the same round in every engine.
+        # must start the same round.
         edges = [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
             (0, 4), (0, 5), (0, 6),
@@ -127,13 +114,12 @@ class TestEngineEquivalence:
             (11, 12), (11, 13), (11, 14), (12, 13), (12, 14), (13, 14),
             (10, 15), (10, 16), (10, 17), (10, 18),
         ]
-        _assert_engines_identical(Graph(edges))
+        _assert_matches_oracle(Graph(edges))
 
     def test_degree_violation_cascade(self):
         # At k=3 the K5's satellites die immediately; deleting the K4-ring
-        # bridge drags vertices below degree 3 mid-round, exercising the
-        # sentinel path where the heap uses -1.0 keys and the bucket engine
-        # must cascade within the round.
+        # bridge drags vertices below degree 3 mid-round, so the cascade
+        # must kill them within the same round.
         edges = [
             (0, 1), (0, 2), (0, 3), (0, 4),
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -141,41 +127,38 @@ class TestEngineEquivalence:
             (6, 5), (6, 0), (6, 1),
             (7, 6), (7, 5), (7, 0),
         ]
-        _assert_engines_identical(Graph(edges))
+        _assert_matches_oracle(Graph(edges))
 
     def test_inherited_p_number_cascade(self, cascade_graph):
-        _assert_engines_identical(cascade_graph)
+        _assert_matches_oracle(cascade_graph)
 
     def test_figure1_like(self, figure1_like_graph):
-        _assert_engines_identical(figure1_like_graph)
+        _assert_matches_oracle(figure1_like_graph)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graph_sweep(self, random_graph_factory, seed):
-        _assert_engines_identical(random_graph_factory(seed))
+        _assert_matches_oracle(random_graph_factory(seed))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_denser_random_graphs(self, seed):
-        _assert_engines_identical(erdos_renyi_gnm(40, 300, seed=seed))
+        _assert_matches_oracle(erdos_renyi_gnm(40, 300, seed=seed))
 
     def test_single_vertex_graph(self):
         g = Graph()
         g.add_vertex("lonely")
-        # Degeneracy 0: no k to peel, but every engine must agree that the
-        # 1-core is empty.
-        snapshot, core = _prepared(g)
-        for name in ALL_ENGINES:
-            assert get_engine(name)(snapshot, core, 1) == ([], [])
+        # Degeneracy 0: the oracle sweep still peels k=1, whose core is empty.
+        _assert_matches_oracle(g)
 
     def test_star_max_degree_graph(self):
         # A hub of maximum degree stresses the composite-key scale: the
         # ladder of the hub holds d_max distinct fractions a/d_max.
         hub_edges = [("hub", i) for i in range(25)]
-        _assert_engines_identical(Graph(hub_edges))
+        _assert_matches_oracle(Graph(hub_edges))
 
     def test_max_degree_clique_with_pendants(self):
         edges = [(u, w) for u in range(8) for w in range(u + 1, 8)]
         edges += [(0, f"p{i}") for i in range(12)]
-        _assert_engines_identical(Graph(edges))
+        _assert_matches_oracle(Graph(edges))
 
     @given(
         st.lists(
@@ -186,12 +169,12 @@ class TestEngineEquivalence:
         )
     )
     @settings(max_examples=100, deadline=None)
-    def test_property_engines_agree(self, edges):
-        _assert_engines_identical(Graph(edges))
+    def test_property_matches_oracle(self, edges):
+        _assert_matches_oracle(Graph(edges))
 
 
 class TestCompositeKeys:
-    """The flat engines' integer keys must order exactly like rationals."""
+    """The peel's integer keys must order exactly like rationals."""
 
     def test_key_ordering_equals_fraction_ordering_exhaustive(self):
         for d_max in (1, 2, 3, 7, 16, 31):
@@ -231,98 +214,80 @@ class TestCompositeKeys:
 
 
 class TestEngineScratch:
-    """make_scratch semantics: reuse, validation, out-of-order k."""
+    """Scratch semantics: reuse, validation, out-of-order k."""
 
     def test_make_scratch_types(self, figure1_like_graph):
         snapshot, core = _prepared(figure1_like_graph)
-        assert isinstance(make_scratch("bucket", snapshot, core), BucketScratch)
-        assert isinstance(make_scratch("flat", snapshot, core), FlatScratch)
         assert isinstance(
-            make_scratch("flat-numpy", snapshot, core), FlatScratch
+            make_scratch(DEFAULT_ENGINE, snapshot, core), FlatScratch
         )
-        assert make_scratch("heap", snapshot, core) is None
 
     def test_make_scratch_rejects_unknown_engine(self, triangle):
         snapshot, core = _prepared(triangle)
         with pytest.raises(ParameterError, match="unknown peel engine"):
-            make_scratch("quantum", snapshot, core)
+            make_scratch("heap", snapshot, core)
 
-    @pytest.mark.parametrize("name", ["bucket", "flat", "flat-numpy"])
-    def test_wrong_snapshot_rejected(self, name):
+    def test_wrong_snapshot_rejected(self):
         snapshot_a, core_a = _prepared(erdos_renyi_gnm(20, 60, seed=1))
         snapshot_b, _ = _prepared(erdos_renyi_gnm(20, 60, seed=2))
-        scratch = make_scratch(name, snapshot_a, core_a)
+        scratch = FlatScratch(snapshot_a, core_a)
         with pytest.raises(ParameterError, match="different snapshot"):
-            get_engine(name)(snapshot_b, core_a, 1, scratch=scratch)
+            peel_fixed_k_flat(snapshot_b, core_a, 1, scratch=scratch)
 
-    @pytest.mark.parametrize("name", ["bucket", "flat", "flat-numpy"])
-    def test_wrong_scratch_type_rejected(self, triangle, name):
+    def test_wrong_scratch_type_rejected(self, triangle):
         snapshot, core = _prepared(triangle)
         with pytest.raises(ParameterError, match="Scratch"):
-            get_engine(name)(snapshot, core, 1, scratch=object())
+            peel_fixed_k_flat(snapshot, core, 1, scratch=object())
 
-    @pytest.mark.parametrize("name", ["flat", "flat-numpy"])
-    def test_out_of_order_k_rebuilds_prefixes(self, name):
+    def test_out_of_order_k_rebuilds_prefixes(self):
         # Descending and repeated k exercise FlatScratch's backward
         # prefix-length rebuild — results must match fresh calls exactly.
         g = erdos_renyi_gnm(40, 200, seed=7)
         snapshot, core = _prepared(g)
         degeneracy = max(core, default=0)
-        engine = get_engine(name)
         fresh = {
-            k: engine(snapshot, core, k) for k in range(1, degeneracy + 1)
+            k: peel_fixed_k_flat(snapshot, core, k)
+            for k in range(1, degeneracy + 1)
         }
-        scratch = make_scratch(name, snapshot, core)
+        scratch = FlatScratch(snapshot, core)
         sequence = (
             list(range(degeneracy, 0, -1))
             + [1, degeneracy]
             + list(range(1, degeneracy + 1))
         )
         for k in sequence:
-            assert engine(snapshot, core, k, scratch=scratch) == fresh[k], k
+            assert (
+                peel_fixed_k_flat(snapshot, core, k, scratch=scratch)
+                == fresh[k]
+            ), k
 
 
-class TestNumpyFallback:
-    def test_flat_numpy_without_numpy_matches(self, monkeypatch):
-        g = erdos_renyi_gnm(30, 120, seed=5)
-        snapshot, core = _prepared(g)
-        degeneracy = max(core, default=0)
-        with_numpy = {
-            k: peel_fixed_k_flat_numpy(snapshot, core, k)
-            for k in range(1, degeneracy + 1)
-        }
-        monkeypatch.setattr(peel_flat, "_np", None)
-        assert not peel_flat.have_numpy()
-        without_numpy = {
-            k: peel_fixed_k_flat_numpy(snapshot, core, k)
-            for k in range(1, degeneracy + 1)
-        }
-        assert without_numpy == with_numpy
-
-    def test_fallback_scratch_has_no_numpy_views(self, monkeypatch):
-        monkeypatch.setattr(peel_flat, "_np", None)
-        snapshot, core = _prepared(erdos_renyi_gnm(15, 40, seed=3))
-        scratch = FlatScratch(snapshot, core, use_numpy=True)
-        assert scratch.core_np is None
+#: sha256 of the canonical JSON of every ``(k, order, p_numbers)`` of
+#: ``kp_core_decomposition`` on two builtin stand-ins, keyed by name and
+#: guarded by the stand-in's (n, m, edge hash) fingerprint.
+GOLDEN_DECOMPOSITIONS = {
+    "facebook": (
+        (806, 7121, "101d04ce4cb68a74043c85f8ff524de3"),
+        "518b8292231edf673e3435b0a2792984246581ee622716d93944e741516c3cbe",
+    ),
+    "gowalla": (
+        (3000, 15488, "d4de63a582d5e2d2bb777da3f77d95c0"),
+        "83567b62d4576ed40aff31249a7854754aa11263aa359d10bc3ebeebb27cde9f",
+    ),
+}
 
 
-class TestDecompositionEngineParameter:
-    def test_engine_selection_end_to_end(self, figure1_like_graph):
-        by_engine = {
-            name: kp_core_decomposition(figure1_like_graph, engine=name)
-            for name in available_engines()
-        }
-        reference = by_engine.pop("heap")
-        for name, decomposition in by_engine.items():
-            assert decomposition.degeneracy == reference.degeneracy
-            for k, fixed in reference.arrays.items():
-                other = decomposition.arrays[k]
-                assert tuple(other.order) == tuple(fixed.order), (name, k)
-                assert tuple(other.p_numbers) == tuple(fixed.p_numbers), (
-                    name,
-                    k,
-                )
-
-    def test_unknown_engine_rejected(self, triangle):
-        with pytest.raises(ParameterError, match="unknown peel engine"):
-            kp_core_decomposition(triangle, engine="quantum")
+class TestGoldenDecomposition:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DECOMPOSITIONS))
+    def test_decomposition_digest_is_pinned(self, name):
+        fingerprint, digest = GOLDEN_DECOMPOSITIONS[name]
+        graph = load(name)
+        fp = graph_fingerprint(graph)
+        assert (fp.num_vertices, fp.num_edges, fp.edge_hash) == fingerprint
+        decomposition = kp_core_decomposition(graph)
+        payload = [
+            [k, list(fixed.order), list(fixed.p_numbers)]
+            for k, fixed in sorted(decomposition.arrays.items())
+        ]
+        blob = json.dumps(payload, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest

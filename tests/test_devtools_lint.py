@@ -277,7 +277,7 @@ class TestKP007:
         assert codes(src, path=self.HOT_PATH) == []
 
     def test_post_loop_trace_record_is_clean(self):
-        """The peel-engine shape: hoisted lookup, one record after the loop."""
+        """The peel shape: hoisted lookup, one record after the loop."""
         src = (
             "tracer = get_tracer()\n"
             "start = now()\n"
@@ -555,13 +555,13 @@ class TestKP011:
             "from multiprocessing import Pool\n"
             "def _peel_chunk(chunk):\n"
             "    return [(k, [k]) for k in chunk]\n"
-            "def drive(chunks, snapshot, engine):\n"
-            "    with Pool(2, initializer=_setup, initargs=(snapshot, engine)) as pool:\n"
+            "def drive(chunks, snapshot, core):\n"
+            "    with Pool(2, initializer=_setup, initargs=(snapshot, core)) as pool:\n"
             "        out = []\n"
             "        for peeled in pool.imap_unordered(_peel_chunk, chunks):\n"
             "            out.extend(peeled)\n"
             "    return out\n"
-            "def _setup(snapshot, engine):\n"
+            "def _setup(snapshot, core):\n"
             "    return None\n"
         )
         assert analysis_codes(tmp_path, {"pkg/driver.py": module}) == []

@@ -174,7 +174,7 @@ class TestSwitch:
         assert get_tracer() is None
 
     def test_disabled_hot_path_emits_zero_events(self):
-        """With tracing off the peel engines must not record anything."""
+        """With tracing off the peel must not record anything."""
         from repro.core.decomposition import kp_core_decomposition
         from repro.graph.generators import erdos_renyi_gnm
 
