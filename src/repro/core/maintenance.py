@@ -8,41 +8,43 @@ edge updates.  Per update it:
 1. applies the edge to the graph and incrementally repairs core numbers,
 2. skips every ``A_k`` with ``k`` above ``max(cn(u), cn(v))``
    (Theorem 2 for insertion, Theorem 7 for deletion),
-3. for each remaining ``k``, derives a p-number window ``[p_-, p_+]`` from
-   the case analysis of Algorithms 4/5 (Theorems 3-5, 8, 9, Defs. 5-7) —
-   vertices with old p-number outside the window are untouched,
-4. re-peels only the induced subgraph on the windowed vertices, stopping as
-   soon as the peel level exceeds ``p_+`` (the survivors keep their old
-   p-numbers), and splices the recomputed segment back into ``A_k``.
+3. skips an array of insertion case 1.2 (only the larger-core endpoint is
+   in the k-core) when the Theorem 5 support bound certifies that its
+   p-number cannot drop (Theorem 6),
+4. re-peels every other affected ``A_k`` whole.
 
-Theorem 6 supplies an extra early-exit: when only the larger-core endpoint
-is in the k-core and a support bound certifies its p-number cannot drop,
-``A_k`` is skipped without any re-peel.
+Algorithms 4/5 would re-peel only the ``[p_-, p_+]`` window of a
+membership-stable array and stop once the peel level passes ``p_+``
+(Theorems 3-5, 8, 9).  On the flat kernel that does not pay: the two-hop
+``p̃`` bound behind ``p_+`` costs about as much as re-peeling the whole
+array, and a window small enough to win is rare on the stand-in datasets
+(docs/performance.md, "Maintenance re-peels").  Under a metrics collector
+the cheap ``p_-`` bounds are still derived and recorded, so the window
+metrics show how much of each array a window could have skipped.
 
-Two modes support the ablation benchmark: ``RANGE`` (the full machinery
-above, the paper's algorithm) and ``FULL_K`` (skip rules only; every
-affected ``A_k`` is re-peeled in full).  Both are property-tested for exact
-agreement with from-scratch decomposition.
+Every re-peel runs the one fixed-k kernel of :mod:`repro.core.peel_flat`
+on one :class:`~repro.graph.compact.CompactAdjacency` +
+:class:`~repro.core.peel_flat.FlatScratch` of the live graph, built
+lazily at most once per update (``_LiveView``).
+
+Two modes support the ablation benchmark: ``RANGE`` (the Theorem 2/6/7
+skip rules) and ``FULL_K`` (Theorem 2/7 skips only).  Both are
+property-tested for exact agreement with from-scratch decomposition.
 
 :meth:`KPIndexMaintainer.apply_batch` amortizes a *burst* of updates: the
-batch is coalesced (insert+delete pairs of one edge cancel), the per-edge
-windows above are unioned per affected ``A_k``, and each array re-peels
-exactly **once** per batch — membership-stable arrays through the unioned
-``[p_-, p_+]`` window, membership-churned arrays through one shared
-:class:`~repro.graph.compact.CompactAdjacency` snapshot and the Algorithm 2
-peel (optionally fanned across the ``repro.core.parallel`` worker
-pool).  Version counters consequently bump once per touched array per
-batch, which is what lets the serving cache invalidate once instead of
-once per edge (see docs/algorithms.md, "Batched maintenance").
+batch is coalesced (insert+delete pairs of one edge cancel), and each
+affected ``A_k`` re-peels exactly **once** per batch on one shared
+snapshot of the post-batch graph (optionally fanned across the
+``repro.core.parallel`` worker pool).  Version counters consequently
+bump once per touched array per batch, which is what lets the serving
+cache invalidate once instead of once per edge (see docs/algorithms.md,
+"Batched maintenance").
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
-from bisect import bisect_left
-from heapq import heappush, heappop, heapify
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.devtools.contracts import (
@@ -56,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 from repro.errors import (
     EdgeExistsError,
     EdgeNotFoundError,
-    IndexStateError,
     ParameterError,
     SelfLoopError,
 )
@@ -65,16 +66,11 @@ from repro.graph.compact import CompactAdjacency
 from repro.kcore.maintenance import CoreMaintainer
 from repro.obs import names as metric
 from repro.obs.instrumentation import Instrumentation, get_collector, maybe_span
-from repro.core.bounds import (
-    BoundsCache,
-    degree_in,
-    deletion_pair_bound,
-    insertion_support_bound,
-)
+from repro.obs.trace import maybe_trace_span
+from repro.core.bounds import deletion_pair_bound, insertion_support_bound
 from repro.core.index import KArray, KPIndex
 from repro.core.parallel import peel_all_k
 from repro.core.peel_flat import FlatScratch, peel_fixed_k_flat
-from repro.core.pvalue import fraction_value
 
 __all__ = [
     "MaintenanceMode",
@@ -86,18 +82,24 @@ __all__ = [
 
 
 class MaintenanceMode(enum.Enum):
-    """How aggressively an update narrows the re-peeled region."""
+    """Which skip rules an update applies before re-peeling."""
 
     #: Theorems 2/7 skip rules only; affected arrays re-peel in full.
     FULL_K = "full-k"
-    #: Additionally narrow each affected array to the ``[p_-, p_+]`` window
-    #: and early-exit via Theorem 6 — the paper's Algorithms 4/5.
+    #: Additionally skip insertion case 1.2 arrays via Theorem 6 — what
+    #: Algorithms 4/5 keep once every re-peel is whole.
     RANGE = "range"
 
 
 @dataclass
 class MaintenanceStats:
-    """Work counters for the efficiency/ablation benchmarks."""
+    """Work counters for the efficiency/ablation benchmarks.
+
+    ``early_stops`` (window re-peels stopped at ``p_+``) and
+    ``fallback_rebuilds`` (window splices that fell back to a whole
+    re-peel) stay 0 now that every re-peel is whole; the fields remain
+    because the benchmark tables report them.
+    """
 
     insertions: int = 0
     deletions: int = 0
@@ -118,8 +120,10 @@ class MaintenanceStats:
 class BatchReport:
     """What one :meth:`KPIndexMaintainer.apply_batch` call did.
 
-    ``windowed_repeels``/``full_repeels`` report the batch planner's
-    classification and are both 0 for a coalesced batch of one update,
+    Every affected array re-peels whole; ``windowed_repeels`` counts the
+    membership-stable ones (Algorithm 4/5's window case) and
+    ``full_repeels`` those whose k-core membership churned or that ran
+    under ``FULL_K``.  Both are 0 for a coalesced batch of one update,
     which delegates to the single-edge algorithms verbatim.
     """
 
@@ -128,25 +132,6 @@ class BatchReport:
     arrays_repeeled: int
     windowed_repeels: int = 0
     full_repeels: int = 0
-
-
-@dataclass
-class _KTouch:
-    """Per-``A_k`` accumulator over one coalesced batch."""
-
-    #: Every batch-edge endpoint whose op registered at this k — exactly
-    #: the vertices whose degree may differ between the pre- and
-    #: post-batch graph while sitting in (either version of) the k-core.
-    endpoints: set[Vertex] = field(default_factory=set)
-    #: Net membership churn of the k-core across the batch.
-    joined: set[Vertex] = field(default_factory=set)
-    left: set[Vertex] = field(default_factory=set)
-    #: True as soon as *any* promote/demote event fired at this k, even if
-    #: a later opposite event cancelled it: a mid-batch membership dip
-    #: breaks the endpoint-registration invariant the windowed path relies
-    #: on (an op only registers at k when an endpoint's core number is
-    #: >= k *at that moment*), so such an array re-peels in full.
-    membership_changed: bool = False
 
 
 def coalesce_updates(
@@ -203,12 +188,50 @@ def coalesce_updates(
     return net, cancelled
 
 
-@dataclass
-class _PeelResult:
-    order: list[Vertex] = field(default_factory=list)
-    p_numbers: list[float] = field(default_factory=list)
-    tail: list[Vertex] = field(default_factory=list)
-    stopped_early: bool = False
+class _LiveView:
+    """The flat kernel's view of the live graph, built at most once.
+
+    One :class:`CompactAdjacency` (neighbours sorted by descending core
+    number) and one :class:`FlatScratch` serve every array an update or
+    batch re-peels.  Both are built lazily, after the graph mutation, so
+    an update whose arrays are all skipped builds nothing.
+    """
+
+    __slots__ = ("_graph", "_cores", "_snapshot", "_core", "_scratch")
+
+    def __init__(
+        self,
+        graph: Graph,
+        cores: CoreMaintainer | OrderBasedCoreMaintainer,
+    ) -> None:
+        self._graph = graph
+        self._cores = cores
+        self._snapshot: CompactAdjacency | None = None
+        self._core: list[int] = []
+        self._scratch: FlatScratch | None = None
+
+    def snapshot(self) -> tuple[CompactAdjacency, list[int]]:
+        """The CSR snapshot and its core numbers (by internal id)."""
+        if self._snapshot is None:
+            with maybe_trace_span(metric.TRACE_MAINT_SNAPSHOT):
+                self._snapshot, self._core = self._build_snapshot()
+        return self._snapshot, self._core
+
+    def scratch(self) -> FlatScratch:
+        """The flat scratch over :meth:`snapshot` (shared by every peel)."""
+        if self._scratch is None:
+            with maybe_trace_span(metric.TRACE_MAINT_SNAPSHOT):
+                if self._snapshot is None:
+                    self._snapshot, self._core = self._build_snapshot()
+                self._scratch = FlatScratch(self._snapshot, self._core)
+        return self._scratch
+
+    def _build_snapshot(self) -> tuple[CompactAdjacency, list[int]]:
+        snapshot = CompactAdjacency(self._graph)
+        cn = self._cores.core_numbers()
+        core = [cn.get(label, 0) for label in snapshot.labels]
+        snapshot.sort_neighbors_by_rank_desc(core)
+        return snapshot, core
 
 
 class KPIndexMaintainer:
@@ -222,9 +245,9 @@ class KPIndexMaintainer:
     mode:
         See :class:`MaintenanceMode`.
     strict:
-        When true, internal consistency violations raise
-        :class:`~repro.errors.IndexStateError` instead of triggering a
-        defensive full re-peel of the affected array.  Tests run strict.
+        Accepted for compatibility and ignored: it guarded the window
+        splice (raise instead of falling back to a whole re-peel), and
+        every re-peel is now whole.
     core_backend:
         Which incremental core-number algorithm repairs ``cn`` values:
         ``"traversal"`` (the subcore algorithm of [18], default) or
@@ -370,23 +393,17 @@ class KPIndexMaintainer:
         (:func:`coalesce_updates`) — an invalid op sequence raises before
         anything mutates, and insert+delete pairs of the same edge cancel
         without touching the index at all.  Every surviving update is then
-        applied to the graph/core numbers, and each affected ``A_k``
-        re-peels exactly **once**:
-
-        * membership-stable arrays re-peel the *union* of the per-edge
-          Thm. 3-5/8/9 windows ``[p_-, p_+]`` (and are skipped outright
-          when the unioned support bound meets the unioned cap — the
-          batched form of Theorem 6);
-        * arrays whose k-core membership churned re-peel in full through
-          one shared :class:`CompactAdjacency` snapshot and the Algorithm 2
-          peel (scratch reused across ks; ``workers > 1`` fans these
-          across the process pool).
+        applied to the graph/core numbers, and each affected ``A_k`` (the
+        Theorem 2/7 k-range of some update) re-peels whole exactly
+        **once**, on one :class:`CompactAdjacency` snapshot and one
+        scratch of the post-batch graph; ``workers > 1`` fans the
+        re-peels across the process pool.
 
         Each touched array bumps its version once per batch, so serving
         caches invalidate once instead of once per edge.  A coalesced
         batch of exactly one update delegates to the single-edge
-        Algorithm 4/5 code path verbatim (same windows, same Theorem 6
-        skips, same version bumps).
+        Algorithm 4/5 code path verbatim (same Theorem 6 skips, same
+        version bumps).
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -433,17 +450,12 @@ class KPIndexMaintainer:
         ops: Sequence[tuple[str, Vertex, Vertex]],
         workers: int,
     ) -> tuple[int, int]:
-        """Apply coalesced ``ops``; returns (windowed, full) re-peel counts."""
+        """Apply coalesced ``ops``; returns (stable, churned) re-peel counts."""
         obs = get_collector()
-        touched: dict[int, _KTouch] = {}
-
-        def touch(k: int) -> _KTouch:
-            t = touched.get(k)
-            if t is None:
-                t = _KTouch()
-                touched[k] = t
-            return t
-
+        # k -> whether the k-core's membership changed at any point of the
+        # batch (a promote/demote event fired at k, even if a later
+        # opposite event cancelled it).
+        churned: dict[int, bool] = {}
         for op, u, v in ops:
             if op == "insert":
                 cn_old_u = self._cores.core_number_or(u)
@@ -453,168 +465,60 @@ class KPIndexMaintainer:
                 self.index.adjust_num_edges(+1)
                 low = min(cn_old_u, cn_old_v)
                 k_changed = low + 1 if promoted else None
-                movers = promoted
                 k_max = max(
                     self._cores.core_number(u), self._cores.core_number(v)
                 )  # Theorem 2
             else:
                 cn_old_u = self._cores.core_number(u)
                 cn_old_v = self._cores.core_number(v)
-                movers = self._cores.delete_edge(u, v)
+                demoted = self._cores.delete_edge(u, v)
                 self.stats.deletions += 1
                 self.index.adjust_num_edges(-1)
                 low = min(cn_old_u, cn_old_v)
-                k_changed = low if movers else None
+                k_changed = low if demoted else None
                 k_max = max(cn_old_u, cn_old_v)  # Theorem 7
             for k in range(2, k_max + 1):
-                touch(k).endpoints.update((u, v))
+                churned.setdefault(k, False)
             if k_changed is not None and k_changed >= 2:
-                t = touch(k_changed)
-                t.membership_changed = True
-                if op == "insert":
-                    for w in movers:
-                        if w in t.left:
-                            t.left.discard(w)
-                        else:
-                            t.joined.add(w)
-                else:
-                    for w in movers:
-                        if w in t.joined:
-                            t.joined.discard(w)
-                        else:
-                            t.left.add(w)
+                churned[k_changed] = True
 
         self._update_a1_after_batch(ops)
 
-        windowed_plans: list[tuple[KArray, float, float]] = []
-        full_ks: list[int] = []
-        for k in sorted(touched):
-            t = touched[k]
+        stable = 0
+        for k in sorted(churned):
             self.stats.arrays_examined += 1
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
-            array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K or t.membership_changed:
-                full_ks.append(k)
-                continue
-            plan = self._batch_window(array, t)
-            if plan is None:
-                # Batched Theorem 6: the unioned window is empty, so the
-                # array provably cannot change — no re-peel, no bump.
-                self.stats.arrays_skipped_theorem6 += 1
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM6_SKIPS)
-                continue
-            p_minus, p_plus = plan
-            if obs is not None:
-                obs.inc(metric.MAINT_BATCH_WINDOW_UNIONS)
-                self._record_window(obs, p_minus, p_plus)
-            windowed_plans.append((array, p_minus, p_plus))
-        for array, p_minus, p_plus in windowed_plans:
-            self._repeel_and_splice(array, None, p_minus, p_plus, set())
-        if full_ks:
-            self._repeel_full_arrays(full_ks, workers)
+            self._ensure_array(k)
+            if self.mode is MaintenanceMode.RANGE and not churned[k]:
+                stable += 1
+        full = len(churned) - stable
+        self._repeel_all(sorted(churned), workers)
         if obs is not None:
-            obs.add(metric.MAINT_BATCH_FULL_REPEELS, len(full_ks))
-            obs.add(
-                metric.MAINT_BATCH_ARRAYS,
-                len(full_ks) + len(windowed_plans),
-            )
-        return len(windowed_plans), len(full_ks)
+            obs.add(metric.MAINT_BATCH_WINDOW_UNIONS, stable)
+            obs.add(metric.MAINT_BATCH_FULL_REPEELS, full)
+            obs.add(metric.MAINT_BATCH_ARRAYS, len(churned))
+        return stable, full
 
-    def _batch_window(
-        self, array: KArray, t: _KTouch
-    ) -> tuple[float, float] | None:
-        """The unioned ``[p_-, p_+]`` window of one membership-stable array.
+    def _repeel_all(self, ks: Sequence[int], workers: int) -> None:
+        """Re-peel every ``A_k`` of ``ks`` (ascending) on one snapshot.
 
-        ``p_+`` (Thms. 4/9 unioned): for ``p0`` above every endpoint's old
-        p-number, ``C_{k,p0}(G)`` avoids every batch edge and stays valid
-        in the post-batch graph ``G_B``; for ``p0`` above every
-        member-endpoint's ``p̃`` (computed on ``G_B``), ``C_{k,p0}(G_B)``
-        avoids every endpoint and stays valid in ``G`` — above the max of
-        both, the two cores coincide and the suffix is untouched.
-
-        ``p_-`` (Thms. 3/5/8 + Def. 7 unioned, clamped): with ``p1`` the
-        smallest member-endpoint old p-number, ``C = C_{k,p1}(G)`` is its
-        own witness on ``G_B`` — non-endpoint members keep their degrees
-        (every degree-changed k-core vertex is a registered endpoint),
-        and member endpoints are re-checked explicitly.  Every member of
-        ``C`` keeps ``pn >= p_-``, so the prefix below ``p_-`` is
-        identical.  Returns ``None`` when ``p_- >= p_+``: the window is
-        empty and the array provably cannot change (batched Theorem 6).
+        With ``workers > 1`` the peels fan out across the
+        ``repro.core.parallel`` pool (the snapshot ships once per worker).
         """
-        members = array.members_view()
-        bounds = BoundsCache(self.graph, members)
-        graph = self.graph
-        p_plus = 0.0
-        inside: list[Vertex] = []
-        for x in t.endpoints:
-            pn_old = array.p_number_or(x, 0.0)
-            if pn_old > p_plus:
-                p_plus = pn_old
-            if x in members:
-                inside.append(x)
-                cap = bounds.p_tilde(x)
-                if cap > p_plus:
-                    p_plus = cap
-        if not inside:
-            return 0.0, p_plus
-        p1 = min(array.p_number(x) for x in inside)
-        witness = set(array.query(p1))
-        p_minus = p1
-        for x in inside:
-            dx = degree_in(graph, witness, x)
-            if dx < array.k:
-                p_minus = 0.0
-                break
-            fx = fraction_value(dx, graph.degree(x))
-            if fx < p_minus:
-                p_minus = fx
-        if p_minus >= p_plus and p_plus > 0.0:
-            return None
-        return p_minus, p_plus
-
-    def _repeel_full_arrays(self, ks: Sequence[int], workers: int) -> None:
-        """Re-peel each ``A_k`` in ``ks`` from scratch with Algorithm 2's peel.
-
-        One :class:`CompactAdjacency` snapshot of the live graph is built
-        per batch and shared by every array (and, with ``workers > 1``,
-        shipped once per worker through the pool initializer), so the
-        per-array marginal cost is the fixed-k peel itself — the same
-        kernel Algorithm 2 runs, scratch reused across the ks.
-        """
-        obs = get_collector()
-        snapshot = CompactAdjacency(self.graph)
-        cn = self._cores.core_numbers()
-        core = [cn.get(label, 0) for label in snapshot.labels]
-        snapshot.sort_neighbors_by_rank_desc(core)
+        if not ks:
+            return
+        live = _LiveView(self.graph, self._cores)
+        pooled: dict[int, tuple[list[int], list[float]]] = {}
         if workers > 1 and len(ks) > 1:
-            peeled = peel_all_k(
-                snapshot, core, max(ks), workers=workers, ks=ks
-            )
-        else:
-            scratch = FlatScratch(snapshot, core)
-            peeled = {
-                k: peel_fixed_k_flat(snapshot, core, k, scratch=scratch)
-                for k in ks
-            }
-        labels = snapshot.labels
+            snapshot, core = live.snapshot()
+            with maybe_trace_span(metric.TRACE_MAINT_PEEL, arrays=len(ks)):
+                pooled = peel_all_k(
+                    snapshot, core, max(ks), workers=workers, ks=list(ks)
+                )
         arrays = self.index.arrays()
         for k in ks:
-            order, p_numbers = peeled[k]
-            array = arrays[k]
-            # Bump before touching the array — the same discipline as
-            # _repeel_and_splice: a conservative bump only costs cache
-            # entries, it can never let a stale answer survive.
-            self.index.bump_version(k)
-            array.vertices = [labels[i] for i in order]
-            array.p_numbers = list(p_numbers)
-            array._rebuild_levels()
-            self.stats.arrays_updated += 1
-            self.stats.vertices_repeeled += len(order)
-            if obs is not None:
-                obs.inc(metric.MAINT_ARRAYS_REPEELED)
-                obs.add(metric.MAINT_VERTICES_REPEELED, len(order))
+            self._repeel(arrays[k], live, pooled.get(k))
 
     def _update_a1_after_batch(
         self, ops: Sequence[tuple[str, Vertex, Vertex]]
@@ -656,7 +560,8 @@ class KPIndexMaintainer:
         """Insert ``(u, v)`` and repair the index.
 
         Under ``REPRO_OBS`` the update records one counter per theorem it
-        fires (Thms. 2-6) plus the ``[p_-, p_+]`` windows it re-peels.
+        fires (Thms. 2, 3, 5, 6) plus the ``p_-`` bound of each
+        membership-stable array it re-peels.
         """
         self._fire_update_hooks("insert", u, v)
         with maybe_span(metric.MAINT_SPAN_INSERT):
@@ -683,73 +588,56 @@ class KPIndexMaintainer:
                 max(0, self.index.degeneracy - max(k_max, 1)),
             )
 
+        live = _LiveView(self.graph, self._cores)
         for k in range(2, k_max + 1):
             self.stats.arrays_examined += 1
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
             array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K:
-                # Promotions only enter the (low+1)-core; other arrays keep
-                # their membership and are merely re-peeled.
-                joining = promoted if k == k_changed else set()
-                members = self._current_members(array, k, joining, set())
-                self._repeel_and_splice(
-                    array, members, 0.0, 1.0, new_members=set(members)
-                )
-                continue
-            if k == k_changed:
-                # Minor case: `promoted` just joined this k-core.  Levels
-                # above every endpoint bound are unchanged: for p0 beyond
-                # the old p-numbers, C_{k,p0}(G) avoids the new edge and
-                # stays valid in G+; beyond both p̃ bounds, C_{k,p0}(G+)
-                # avoids both endpoints and stays valid in G.
-                members = self._current_members(array, k, promoted, set())
-                bounds = BoundsCache(self.graph, members)
-                p_plus = max(
-                    array.p_number_or(u, 0.0),
-                    array.p_number_or(v, 0.0),
-                    bounds.p_tilde(u),
-                    bounds.p_tilde(v),
-                )
-                if obs is not None:
-                    obs.inc(metric.MAINT_MINOR_CASES)
-                    self._record_window(obs, 0.0, p_plus)
-                self._repeel_and_splice(
-                    array, members, 0.0, p_plus, new_members=set(promoted)
-                )
-            elif k <= low:
-                # Case 1.1: both endpoints are in the (unchanged) k-core;
-                # membership tests run against the array's own p-number
-                # map, avoiding an O(|V_k|) set build.
-                pn_u = array.p_number_or(u, 0.0)
-                pn_v = array.p_number_or(v, 0.0)
-                p_minus = min(pn_u, pn_v)  # Theorem 3
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(  # Theorem 4
-                    min(bounds.p_tilde(u), bounds.p_tilde(v)),
-                    pn_u,
-                    pn_v,
-                )
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM3_WINDOWS)
-                    obs.inc(metric.MAINT_THM4_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
-            else:
-                # Case 1.2: cn(small) < k <= cn(large); only `large` is in
-                # the k-core and its p-number can only decrease.
-                p1 = array.p_number_or(large, 0.0)
-                core_at_p1 = set(array.query(p1))
-                p_star = insertion_support_bound(self.graph, core_at_p1, large, p1)
-                if p_star >= p1:  # Theorem 6: A_k provably unchanged
-                    self.stats.arrays_skipped_theorem6 += 1
+            if self.mode is MaintenanceMode.RANGE:
+                if k == k_changed:
+                    # Minor case: `promoted` just joined this k-core.
                     if obs is not None:
-                        obs.inc(metric.MAINT_THM6_SKIPS)
+                        obs.inc(metric.MAINT_MINOR_CASES)
+                elif self._insert_unchanged(array, u, v, low, large):
                     continue
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM5_WINDOWS)
-                    self._record_window(obs, p_star, p1)
-                self._repeel_and_splice(array, None, p_star, p1, set())
+            self._repeel(array, live)
+
+    def _insert_unchanged(
+        self, array: KArray, u: Vertex, v: Vertex, low: int, large: Vertex
+    ) -> bool:
+        """Theorem 6 for one membership-stable array (insertion).
+
+        True when the array provably cannot change; otherwise the caller
+        re-peels it whole.
+        """
+        obs = get_collector()
+        if array.k <= low:
+            # Case 1.1: both endpoints are in the (unchanged) k-core.  No
+            # skip applies; Theorem 3's p_- is recorded for the metrics.
+            if obs is not None:
+                with maybe_trace_span(metric.TRACE_MAINT_BOUNDS, k=array.k):
+                    p_minus = min(
+                        array.p_number_or(u, 0.0), array.p_number_or(v, 0.0)
+                    )
+                obs.inc(metric.MAINT_THM3_WINDOWS)
+                self._record_window(obs, p_minus)
+            return False
+        # Case 1.2: cn(small) < k <= cn(large); only `large` is in the
+        # k-core and its p-number can only decrease.
+        with maybe_trace_span(metric.TRACE_MAINT_BOUNDS, k=array.k):
+            p1 = array.p_number_or(large, 0.0)
+            core_at_p1 = set(array.query(p1))
+            p_star = insertion_support_bound(self.graph, core_at_p1, large, p1)
+        if p_star >= p1:  # Theorem 6: A_k provably unchanged
+            self.stats.arrays_skipped_theorem6 += 1
+            if obs is not None:
+                obs.inc(metric.MAINT_THM6_SKIPS)
+            return True
+        if obs is not None:
+            obs.inc(metric.MAINT_THM5_WINDOWS)
+            self._record_window(obs, p_star)
+        return False
 
     # ------------------------------------------------------------------
     # edge deletion — Algorithm 5 (kpIndexDelete)
@@ -759,7 +647,8 @@ class KPIndexMaintainer:
         """Delete ``(u, v)`` and repair the index.
 
         Under ``REPRO_OBS`` the update records one counter per theorem it
-        fires (Thms. 7-9) plus the ``[p_-, p_+]`` windows it re-peels.
+        fires (Thms. 7, 8) plus the ``p_-`` bound of each membership-stable
+        array it re-peels.
         """
         self._fire_update_hooks("delete", u, v)
         with maybe_span(metric.MAINT_SPAN_DELETE):
@@ -787,73 +676,47 @@ class KPIndexMaintainer:
                 max(0, self.index.degeneracy - max(k_max, 1)),
             )
 
+        live = _LiveView(self.graph, self._cores)
         for k in range(2, k_max + 1):
             self.stats.arrays_examined += 1
             if obs is not None:
                 obs.inc(metric.MAINT_ARRAYS_EXAMINED)
             array = self._ensure_array(k)
-            if self.mode is MaintenanceMode.FULL_K:
-                # Demotions only leave the low-core; other arrays keep
-                # their membership and are merely re-peeled.
-                leaving = demoted if k == k_changed else set()
-                members = self._current_members(array, k, set(), leaving)
-                self._repeel_and_splice(
-                    array, members, 0.0, 1.0, new_members=set(members)
-                )
-                continue
-            if k == k_changed:
-                # Minor case: `demoted` just left this k-core.  Unlike the
-                # paper's Sec. VI-B, the cap must also dominate the *old*
-                # endpoint p-numbers: for p0 beyond them, C_{k,p0}(G)
-                # avoids the removed edge and is still a valid core of G-.
-                members = self._current_members(array, k, set(), demoted)
-                bounds = BoundsCache(self.graph, members)
-                candidates = [
-                    array.p_number_or(u, 0.0),
-                    array.p_number_or(v, 0.0),
-                ]
-                if u in members:
-                    candidates.append(bounds.p_tilde(u))
-                if v in members:
-                    candidates.append(bounds.p_tilde(v))
-                if obs is not None:
+            if self.mode is MaintenanceMode.RANGE and obs is not None:
+                if k == k_changed:
+                    # Minor case: `demoted` just left this k-core.
                     obs.inc(metric.MAINT_MINOR_CASES)
-                    self._record_window(obs, 0.0, max(candidates))
-                self._repeel_and_splice(
-                    array, members, 0.0, max(candidates), set()
-                )
-            elif k <= low:
-                # Major case, both endpoints in the k-core (Thm. 8 / Def. 7
-                # for p_-, via the sound pair bound; Thm. 9 for p_+).
-                pn_u = array.p_number(u)
-                pn_v = array.p_number(v)
-                p1 = min(pn_u, pn_v)
+                else:
+                    self._record_delete_bound(obs, array, u, v, low, large)
+            self._repeel(array, live)
+
+    def _record_delete_bound(
+        self,
+        obs: Instrumentation,
+        array: KArray,
+        u: Vertex,
+        v: Vertex,
+        low: int,
+        large: Vertex,
+    ) -> None:
+        """Record Theorem 8's ``p_-`` of one membership-stable array.
+
+        Deletion has no skip rule below ``k_max``; the bound only feeds
+        the window metrics, so it is derived only under a collector.
+        """
+        with maybe_trace_span(metric.TRACE_MAINT_BOUNDS, k=array.k):
+            if array.k <= low:
+                # Both endpoints in the k-core: Thm. 8 / Def. 7 via the
+                # sound pair bound.
+                p1 = min(array.p_number(u), array.p_number(v))
                 p_minus = deletion_pair_bound(
-                    self.graph, set(array.query(p1)), u, v, k, p1
+                    self.graph, set(array.query(p1)), u, v, array.k, p1
                 )
-                # Thm. 9 widened by the old endpoint p-numbers (see the
-                # minor-case comment): both are needed for levels where
-                # C_{k,p0}(G) must avoid the removed edge.
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(bounds.p_tilde(u), bounds.p_tilde(v), pn_u, pn_v)
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM8_WINDOWS)
-                    obs.inc(metric.MAINT_THM9_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
             else:
-                # Major case, cn(small) < k <= cn(large): only `large` in
-                # the k-core; its p-number can only rise.
-                p_minus = array.p_number(large)  # Theorem 8
-                # Theorem 9 capped from below by the old p-number, so the
-                # window is never inverted.
-                bounds = BoundsCache(self.graph, array.members_view())
-                p_plus = max(bounds.p_tilde(large), p_minus)
-                if obs is not None:
-                    obs.inc(metric.MAINT_THM8_WINDOWS)
-                    obs.inc(metric.MAINT_THM9_WINDOWS)
-                    self._record_window(obs, p_minus, p_plus)
-                self._repeel_and_splice(array, None, p_minus, p_plus, set())
+                # Only `large` in the k-core; its p-number can only rise.
+                p_minus = array.p_number(large)
+        obs.inc(metric.MAINT_THM8_WINDOWS)
+        self._record_window(obs, p_minus)
 
     # ------------------------------------------------------------------
     # A_1 bookkeeping: every 1-core vertex has p-number exactly 1.0
@@ -890,18 +753,17 @@ class KPIndexMaintainer:
     # internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _record_window(
-        obs: Instrumentation, p_minus: float, p_plus: float
-    ) -> None:
-        """Record one recomputed ``[p_-, p_+]`` window.
+    def _record_window(obs: Instrumentation, p_minus: float) -> None:
+        """Record the ``p_-`` bound of one re-peeled membership-stable array.
 
-        Widths are recorded unclamped: a negative width in the metrics
-        would expose an inverted window, which the Defs. 5-7 bounds rule
-        out — the pruning-effectiveness tests assert exactly that.
+        No ``p_+`` is evaluated, so the window's upper end is the trivial
+        1.0 and its width ``1 - p_-`` is the span of p-numbers a window
+        re-peel could not have skipped.  A negative width would expose a
+        bound outside ``[0, 1]``; the pruning tests assert there is none.
         """
         obs.observe(metric.MAINT_WINDOW_P_MINUS, p_minus)
-        obs.observe(metric.MAINT_WINDOW_P_PLUS, p_plus)
-        obs.observe(metric.MAINT_WINDOW_WIDTH, p_plus - p_minus)
+        obs.observe(metric.MAINT_WINDOW_P_PLUS, 1.0)
+        obs.observe(metric.MAINT_WINDOW_WIDTH, 1.0 - p_minus)
 
     def _ensure_array(self, k: int) -> KArray:
         arrays = self.index.arrays()
@@ -914,186 +776,36 @@ class KPIndexMaintainer:
             self.index.bump_version(k)
         return array
 
-    def _current_members(
+    def _repeel(
         self,
         array: KArray,
-        k: int,
-        promoted: Iterable[Vertex],
-        demoted: Iterable[Vertex],
-    ) -> set[Vertex]:
-        """Vertex set of the *current* k-core, derived incrementally."""
-        members = array.vertex_set()
-        members.update(promoted)
-        members.difference_update(demoted)
-        return members
-
-    def _repeel_and_splice(
-        self,
-        array: KArray,
-        members: set[Vertex] | None,
-        p_minus: float,
-        p_plus: float,
-        new_members: set[Vertex],
+        live: _LiveView,
+        peeled: tuple[list[int], list[float]] | None = None,
     ) -> None:
-        """Recompute p-numbers in ``[p_minus, p_plus]`` and splice ``A_k``.
+        """Replace ``A_k`` by Algorithm 2's peel of the live k-core.
 
-        ``members=None`` means the k-core membership is unchanged (the
-        major cases): the residual is then the array's own ``pn >= p_-``
-        suffix, found by bisection, so per-array work is proportional to
-        the window instead of |V_k|.
+        ``peeled`` may carry that peel from the worker pool.
         """
         k = array.k
         # Bump before touching the array: even an exceptional exit below
         # may leave A_k mutated, and a conservative bump only costs cache
         # entries — it can never let a stale answer survive.
         self.index.bump_version(k)
-        if members is None:
-            start = bisect_left(array.p_numbers, p_minus)
-            tail_source = array.vertices[start:]
-            residual = set(tail_source)
-            residual |= new_members
-        else:
-            tail_source = array.vertices
-            residual = {
-                w
-                for w in members
-                if w in new_members or array.p_number_or(w, -1.0) >= p_minus
-            }
-        result = self._peel_residual(
-            k, residual, p_plus, new_members, array, tail_source
-        )
+        if peeled is None:
+            scratch = live.scratch()
+            with maybe_trace_span(metric.TRACE_MAINT_PEEL, k=k):
+                peeled = peel_fixed_k_flat(
+                    scratch.snapshot, scratch.core, k, scratch=scratch
+                )
+        order, p_numbers = peeled
+        labels = live.snapshot()[0].labels
+        with maybe_trace_span(metric.TRACE_MAINT_SPLICE, k=k):
+            array.vertices = [labels[i] for i in order]
+            array.p_numbers = list(p_numbers)
+            array._rebuild_levels()
         self.stats.arrays_updated += 1
-        self.stats.vertices_repeeled += len(result.order)
-        if result.stopped_early:
-            self.stats.early_stops += 1
+        self.stats.vertices_repeeled += len(order)
         obs = get_collector()
         if obs is not None:
             obs.inc(metric.MAINT_ARRAYS_REPEELED)
-            obs.add(metric.MAINT_VERTICES_REPEELED, len(result.order))
-            if result.stopped_early:
-                obs.inc(metric.MAINT_EARLY_STOPS)
-        try:
-            array.replace_segment(
-                keep_below=p_minus,
-                segment_vertices=result.order,
-                segment_p_numbers=result.p_numbers,
-                tail_from=result.tail,
-            )
-        except IndexStateError:
-            if self.strict:
-                raise
-            # Defensive fallback: the window was too narrow (should not
-            # happen; kept as a safety valve for unanticipated topologies).
-            self.stats.fallback_rebuilds += 1
-            if obs is not None:
-                obs.inc(metric.MAINT_FALLBACK_REBUILDS)
-            full_members = (
-                array.vertex_set() if members is None else set(members)
-            )
-            full = self._peel_residual(
-                k, full_members, 2.0, full_members, array
-            )
-            array.vertices = full.order
-            array.p_numbers = full.p_numbers
-            array._rebuild_levels()
-
-    def _peel_residual(
-        self,
-        k: int,
-        residual: set[Vertex],
-        p_plus: float,
-        new_members: set[Vertex],
-        array: KArray,
-        tail_source: list[Vertex] | None = None,
-    ) -> _PeelResult:
-        """Fixed-k peel of the residual subgraph on the live graph.
-
-        Mirrors the heap peel of :mod:`repro.core.decomposition` but runs
-        over dict adjacency (the graph is dynamic here) and supports the
-        early stop: once the next peel level would exceed ``p_plus`` and no
-        vertex lacking an old p-number remains, the survivors keep their
-        old p-numbers and are returned as the tail, in old array order.
-        """
-        graph = self.graph
-        result = _PeelResult()
-        if not residual:
-            return result
-        alive = set(residual)
-        deg_r: dict[Vertex, int] = {}
-        key: dict[Vertex, float] = {}
-        # Heap entries carry a serial number so ties never compare the
-        # vertex labels themselves (labels of mixed types are allowed).
-        serial = 0
-        heap: list[tuple[float, int, Vertex]] = []
-        violators: deque[Vertex] = deque()
-        # Canonical float-fraction construction (pvalue.fraction_value)
-        # inlined in this hot residual peel; degrees are >= k >= 1 here.
-        for w in residual:
-            inside = sum(1 for x in graph.neighbors(w) if x in residual)
-            deg_r[w] = inside
-            key[w] = inside / graph.degree(w)  # noqa: KP001 hot loop
-            heap.append((key[w], serial, w))
-            serial += 1
-            if inside < k:
-                violators.append(w)
-        heapify(heap)
-        # Vertices violating the degree constraint at the window boundary
-        # are peeled in the first round; Algorithm 2 assigns them that
-        # round's p_min, which is the minimum fraction over the whole
-        # residual (their own fractions included).
-        level = min(key.values()) if violators else 0.0
-        pending_new = sum(1 for w in alive if w in new_members)
-
-        def remove(w: Vertex, pn: float) -> None:
-            nonlocal pending_new, serial
-            alive.discard(w)
-            if w in new_members:
-                pending_new -= 1
-            result.order.append(w)
-            result.p_numbers.append(pn)
-            for x in graph.neighbors(w):
-                if x not in alive:
-                    continue
-                deg_r[x] -= 1
-                new_key = deg_r[x] / graph.degree(x)  # noqa: KP001 hot loop
-                key[x] = new_key
-                heappush(heap, (new_key, serial, x))
-                serial += 1
-                if deg_r[x] == k - 1:
-                    violators.append(x)
-
-        while alive:
-            if violators:
-                w = violators.popleft()
-                if w in alive:
-                    remove(w, level)
-                continue
-            w = None
-            while heap:
-                f, _, candidate = heappop(heap)
-                # Exact-double stale-entry test; see repro.core.pvalue.
-                if candidate in alive and key[candidate] == f:  # noqa: KP002
-                    w = candidate
-                    break
-            if w is None:
-                raise IndexStateError(
-                    f"A_{k}: peel heap exhausted with {len(alive)} vertices alive"
-                )
-            if f > p_plus and pending_new == 0:
-                # Theorems 4/9: survivors keep their old p-numbers.
-                result.stopped_early = True
-                source = array.vertices if tail_source is None else tail_source
-                result.tail = [x for x in source if x in alive]
-                if self.strict:
-                    bad = [
-                        x for x in result.tail if array.p_number(x) <= p_plus
-                    ]
-                    if bad:
-                        raise IndexStateError(
-                            f"A_{k}: early-stop tail contains p-numbers "
-                            f"<= p_+ ({bad[:3]}...)"
-                        )
-                return result
-            level = max(level, f)
-            remove(w, level)
-        return result
+            obs.add(metric.MAINT_VERTICES_REPEELED, len(order))

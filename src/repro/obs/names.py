@@ -150,6 +150,10 @@ TRACE_CACHE_FILL = "trace.cache.fill"
 TRACE_CACHE_PURGE = "trace.cache.purge"
 TRACE_QUERY_ANSWER = "trace.query.answer"
 TRACE_PEEL_FIXED_K = "trace.peel.fixed_k"
+TRACE_MAINT_SNAPSHOT = "trace.maintenance.snapshot"
+TRACE_MAINT_BOUNDS = "trace.maintenance.bounds"
+TRACE_MAINT_PEEL = "trace.maintenance.peel"
+TRACE_MAINT_SPLICE = "trace.maintenance.splice"
 
 #: name -> one-line description, grouped by kind, for the docs and report
 COUNTERS: dict[str, str] = {
@@ -175,23 +179,23 @@ COUNTERS: dict[str, str] = {
     DECOMP_PARALLEL_CHUNKS: "task chunks pulled from the shared pool queue",
     MAINT_THM2_SKIPS: "A_k skipped: k above both new core numbers (insert)",
     MAINT_THM3_WINDOWS: "p_- lower bounds from Theorem 3 (insert, both in k-core)",
-    MAINT_THM4_WINDOWS: "p_+ upper bounds from Theorem 4 (insert, both in k-core)",
+    MAINT_THM4_WINDOWS: "p_+ upper bounds from Theorem 4 (reads 0: re-peels are whole)",
     MAINT_THM5_WINDOWS: "support windows via Theorem 5 (insert, one endpoint)",
     MAINT_THM6_SKIPS: "A_k skipped: Theorem 6 support bound certifies no change",
     MAINT_THM7_SKIPS: "A_k skipped: k above both old core numbers (delete)",
     MAINT_THM8_WINDOWS: "p_- lower bounds from Theorem 8 (delete)",
-    MAINT_THM9_WINDOWS: "p_+ upper bounds from Theorem 9 (delete)",
+    MAINT_THM9_WINDOWS: "p_+ upper bounds from Theorem 9 (reads 0: re-peels are whole)",
     MAINT_MINOR_CASES: "arrays updated through the minor (core-change) case",
     MAINT_ARRAYS_EXAMINED: "arrays examined across all updates",
     MAINT_ARRAYS_REPEELED: "arrays actually re-peeled (not skipped)",
     MAINT_VERTICES_REPEELED: "vertices re-peeled across all arrays",
-    MAINT_EARLY_STOPS: "re-peels stopped early at p_+ (Thms. 4/9)",
-    MAINT_FALLBACK_REBUILDS: "defensive full array rebuilds",
+    MAINT_EARLY_STOPS: "re-peels stopped early at p_+ (reads 0: re-peels are whole)",
+    MAINT_FALLBACK_REBUILDS: "window splices redone whole (reads 0: re-peels are whole)",
     MAINT_BATCH_BATCHES: "apply_batch calls (one coalesced batch each)",
     MAINT_BATCH_UPDATES: "net updates applied through apply_batch",
     MAINT_BATCH_CANCELLED: "insert+delete pairs cancelled by coalescing",
     MAINT_BATCH_ARRAYS: "arrays re-peeled once per batch (windowed + full)",
-    MAINT_BATCH_WINDOW_UNIONS: "membership-stable arrays re-peeled via a unioned window",
+    MAINT_BATCH_WINDOW_UNIONS: "membership-stable arrays re-peeled (whole) once per batch",
     MAINT_BATCH_FULL_REPEELS: "membership-churned arrays re-peeled in full per batch",
     INDEX_QUERIES: "KP-Index queries answered (Algorithm 3)",
     INDEX_EMPTY_QUERIES: "queries whose answer was empty",
@@ -217,9 +221,9 @@ HISTOGRAMS: dict[str, str] = {
     DECOMP_ARRAY_SIZE: "per-k array size |V_k| built by Algorithm 2",
     DECOMP_FLAT_LEVELS: "distinct fraction levels in the global flat ladder",
     DECOMP_PARALLEL_WORKERS: "peel tasks completed per pool worker",
-    MAINT_WINDOW_WIDTH: "recomputed p-number window widths p_+ - p_-",
-    MAINT_WINDOW_P_MINUS: "window lower ends p_- (Defs. 5-7 bounds)",
-    MAINT_WINDOW_P_PLUS: "window upper ends p_+ (Defs. 5-7 bounds)",
+    MAINT_WINDOW_WIDTH: "window widths 1 - p_- of re-peeled membership-stable arrays",
+    MAINT_WINDOW_P_MINUS: "window lower ends p_- (Thms. 3, 5, 8 bounds)",
+    MAINT_WINDOW_P_PLUS: "window upper ends (1.0: no p_+ is evaluated)",
     INDEX_ANSWER_SIZE: "per-query answer sizes (Theorem 1 output bound)",
     INDEX_LEVELS_SEARCHED: "|P_k| binary-searched per query",
     SERVER_BATCH_SIZE: "queries per query_many batch on the concurrent server",
@@ -259,6 +263,11 @@ TRACES: dict[str, str] = {
     TRACE_CACHE_PURGE: "QueryCache invalidation of changed-version entries",
     TRACE_QUERY_ANSWER: "Algorithm 3 answer build on a cache miss",
     TRACE_PEEL_FIXED_K: "one fixed-k peel (per worker when parallel)",
+    TRACE_MAINT_SNAPSHOT: "CSR snapshot + flat scratch of the live graph "
+    "(at most once per update or batch)",
+    TRACE_MAINT_BOUNDS: "Theorem 6 check (or recorded p_- bound) of one A_k",
+    TRACE_MAINT_PEEL: "flat-kernel re-peel of one A_k (or of a pooled batch)",
+    TRACE_MAINT_SPLICE: "splice of a re-peeled A_k back into the index",
 }
 
 

@@ -14,7 +14,7 @@ buffers:
 
 The attribution half answers "where did the time go": every span name
 maps to a latency *bucket* (lock-wait / lock-hold / cache-probe /
-answer-build / other), and :func:`attribution_rows` aggregates **self
+answer-build / maintenance / other), and :func:`attribution_rows` aggregates **self
 time** — a span's duration minus its children's — so the buckets sum to
 the traced total instead of double-counting nested work.
 """
@@ -51,6 +51,12 @@ BUCKETS: dict[str, tuple[str, ...]] = {
         names.TRACE_CACHE_PURGE,
     ),
     "answer-build": (names.TRACE_QUERY_ANSWER, names.TRACE_PEEL_FIXED_K),
+    "maintenance": (
+        names.TRACE_MAINT_SNAPSHOT,
+        names.TRACE_MAINT_BOUNDS,
+        names.TRACE_MAINT_PEEL,
+        names.TRACE_MAINT_SPLICE,
+    ),
 }
 
 _NAME_TO_BUCKET: dict[str, str] = {

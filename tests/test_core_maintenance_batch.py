@@ -306,3 +306,17 @@ class TestBatchReport:
         assert maintainer.index.semantically_equal(
             KPIndex.build(maintainer.graph)
         )
+
+    def test_every_affected_array_repeels_once(self, mode):
+        # Every affected A_k re-peels whole exactly once per batch; the
+        # report splits them into membership-stable and churned arrays.
+        g = erdos_renyi_gnm(14, 36, seed=17)
+        maintainer = KPIndexMaintainer(g.copy(), mode=mode, strict=True)
+        report = maintainer.apply_batch(_random_stream(17, 14, 16, g))
+        assert report.arrays_repeeled > 0
+        assert (
+            report.windowed_repeels + report.full_repeels
+            == report.arrays_repeeled
+        )
+        if mode is MaintenanceMode.FULL_K:
+            assert report.windowed_repeels == 0

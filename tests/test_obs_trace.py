@@ -310,7 +310,29 @@ class TestAttribution:
         assert bucket_of_span(names.TRACE_LOCK_WRITE_HOLD) == "lock-hold"
         assert bucket_of_span(names.TRACE_CACHE_FILL) == "cache-probe"
         assert bucket_of_span(names.TRACE_PEEL_FIXED_K) == "answer-build"
+        assert bucket_of_span(names.TRACE_MAINT_SNAPSHOT) == "maintenance"
         assert bucket_of_span("something.else") == "other"
+
+    def test_maintenance_update_records_its_stages(self):
+        # One snapshot span per update, a peel and a splice span per
+        # re-peeled array, and (under a collector, which derives the
+        # deletion's p_- bounds) bounds spans.
+        from repro.core.maintenance import KPIndexMaintainer
+        from repro.graph.generators import erdos_renyi_gnm
+        from repro.obs import collecting
+
+        graph = erdos_renyi_gnm(40, 200, seed=3)
+        maintainer = KPIndexMaintainer(graph)
+        u, v = next(iter(graph.edges()))
+        with collecting(), tracing() as tracer:
+            maintainer.delete_edge(u, v)
+        counts: dict[str, int] = {}
+        for event in tracer.events():
+            counts[event.name] = counts.get(event.name, 0) + 1
+        assert counts[names.TRACE_MAINT_SNAPSHOT] == 1
+        assert counts[names.TRACE_MAINT_PEEL] == counts[names.TRACE_MAINT_SPLICE]
+        assert counts[names.TRACE_MAINT_PEEL] == maintainer.stats.arrays_updated
+        assert counts[names.TRACE_MAINT_BOUNDS] >= 1
 
     def test_self_times_sum_to_root_duration(self):
         events = _sample_events()
